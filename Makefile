@@ -28,10 +28,10 @@ race:
 	$(GO) test -race ./...
 
 ## race-fleet: a focused race pass over the two packages whose
-## goroutines share state by design — the sharded engine (busy-map
-## parking, fitDone handoff, checkpoint barriers, batch pool) and the
-## fitpool — with count=2 so the scheduler interleaves differently
-## across runs.
+## goroutines share state by design — the sharded engine (slot-table
+## growth at batch boundaries, per-slot fit parking, fitDone handoff,
+## out-of-band checkpoint barriers, batch free lists) and the fitpool —
+## with count=2 so the scheduler interleaves differently across runs.
 race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/... ./internal/fitpool/...
 
@@ -111,19 +111,21 @@ fuzz-smoke:
 
 ## ingest-smoke: the wire data-plane gates at test scale — the committed
 ## golden frame file must decode byte-stably, the decoder must hold its
-## zero-allocation steady state, IngestBatch must reproduce Replay's
-## alarms bit-for-bit at 1 and 2 shards (including straight off decoded
-## NVWIRE1 frames), and the HTTP front end must admit, journal, and
-## reject end-to-end.
+## zero-allocation steady state (per frame and across streams),
+## IngestBatch must reproduce Replay's alarms bit-for-bit at 1 and 2
+## shards (including straight off decoded NVWIRE1 frames), the queued
+## envelope must stay 64 pointer-free bytes, admission plus delivery
+## must allocate nothing per record, and the HTTP front end must admit,
+## journal, and reject end-to-end.
 ingest-smoke:
 	$(GO) test -run 'TestGoldenFrameFile|TestDecodeZeroAlloc|TestRoundTrip|TestDecodeRejectsCorruption' ./internal/wire/
-	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity' ./internal/fleet/
+	$(GO) test -run 'TestIngestBatch|TestWireVsReplayAlarmIdentity|TestEnvelopeLayout|TestIngestSteadyStateAllocs' ./internal/fleet/
 	$(GO) test ./cmd/navarchos-serve/
 
 ## bench-smoke: one iteration of the throughput + allocation benchmarks,
 ## enough to catch a benchmark that no longer compiles or crashes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput|BenchmarkIngestBatchServe|BenchmarkScoreInto|BenchmarkPipelineSteadyState|BenchmarkPipelineObserved' -benchtime 1x \
 		./internal/fleet/ ./internal/detector/closestpair/ ./internal/core/
 
 ## scoreperf-smoke: the score-path gates at test scale — the scorer

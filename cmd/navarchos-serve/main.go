@@ -54,12 +54,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
+
+	"github.com/navarchos/pdm/internal/obs"
 )
 
 // parsePeers parses the -peers flag: "name=baseURL,name=baseURL".
@@ -140,7 +141,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.mux}
+	srv := obs.NewHTTPServer(s.mux)
+	srv.Addr = *addr
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("ingest data plane on %s (POST /ingest, GET /fleet /alarms /metrics)\n", *addr)

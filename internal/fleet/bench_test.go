@@ -8,6 +8,7 @@ import (
 	"github.com/navarchos/pdm/internal/core"
 	"github.com/navarchos/pdm/internal/detector/closestpair"
 	"github.com/navarchos/pdm/internal/obd"
+	"github.com/navarchos/pdm/internal/obs"
 	"github.com/navarchos/pdm/internal/thresholds"
 	"github.com/navarchos/pdm/internal/timeseries"
 	"github.com/navarchos/pdm/internal/transform"
@@ -135,4 +136,51 @@ func BenchmarkEngineIngestOverhead(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*len(records))/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkIngestBatchServe drives the engine the way navarchos-serve
+// does: 512-record frames of a time-interleaved 40-vehicle stream, each
+// admitted with its own provenance context through IngestBatchCtx, a
+// Flush every 32 frames, two shards running the closest-pair ×
+// correlation pipeline. One op is one frame; allocs/op is what the
+// admission path plus delivery and scoring cost per frame.
+func BenchmarkIngestBatchServe(b *testing.B) {
+	const vehicles, steps, perFrame, perFlush = 40, 1024, 512, 32
+	records := benchStream(vehicles, steps)
+	span := time.Duration(steps) * time.Minute
+	frames := len(records) / perFrame
+	e, err := NewEngine(Config{NewConfig: benchPipelineConfig, Shards: 2, DropAlarms: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bcs := make([]obs.BatchCtx, frames)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % frames
+		if k == 0 && i > 0 {
+			// Next lap of the stream: move it forward in time so every
+			// vehicle's records keep advancing, and reuse the contexts
+			// the previous lap's frames are done with.
+			b.StopTimer()
+			e.Flush()
+			_ = e.StatsConsistent()
+			for j := range records {
+				records[j].Time = records[j].Time.Add(span)
+			}
+			clear(bcs)
+			b.StartTimer()
+		}
+		if err := e.IngestBatchCtx(records[k*perFrame:(k+1)*perFrame], nil, &bcs[k]); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%perFlush == 0 {
+			e.Flush()
+		}
+	}
+	if err := e.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*perFrame)/b.Elapsed().Seconds(), "records/s")
 }

@@ -57,10 +57,10 @@ const (
 // element ingested before Checkpoint is reflected, nothing ingested
 // after it is. Processing resumes when Checkpoint returns.
 // Restrictions on the live path: Checkpoint must not run concurrently
-// with Replay (Replay bypasses the ingest mutexes) or with Close, and
-// when DropAlarms is unset the caller must keep draining Alarms()
-// while Checkpoint runs — shards may need to deliver alarms before
-// they can reach the barrier.
+// with Close, and when DropAlarms is unset the caller must keep
+// draining Alarms() while Checkpoint runs — shards may need to deliver
+// alarms before they can reach the barrier. Producers, Replay
+// included, simply block on the ingest mutexes until it returns.
 //
 // On a closed engine Checkpoint serializes directly under the same
 // ownership contract as Pipelines: the shards have stopped and the
@@ -110,8 +110,10 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 
 	var skipIDs []string
 	for _, s := range e.shards {
-		for id := range s.skip {
-			skipIDs = append(skipIDs, id)
+		for i := range s.slots {
+			if s.slots[i].skip {
+				skipIDs = append(skipIDs, s.slots[i].id)
+			}
 		}
 	}
 	sort.Strings(skipIDs)
@@ -129,11 +131,7 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 		h  Handler
 	}
 	var entries []entry
-	for _, s := range e.shards {
-		for id, h := range s.handlers {
-			entries = append(entries, entry{id, h})
-		}
-	}
+	e.Handlers(func(id string, h Handler) { entries = append(entries, entry{id, h}) })
 	// Sorted vehicle order makes the stream deterministic for a given
 	// fleet state, whatever the shard count.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
@@ -214,7 +212,8 @@ func NewEngineFromCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 				if seen[id] {
 					return nil, fmt.Errorf("%w: vehicle %s is both active and skipped", ErrBadCheckpoint, id)
 				}
-				e.shardFor(id).skip[id] = true
+				s := e.shardFor(id)
+				s.slots[s.slotOf(id, nil)].skip = true
 			}
 			if err := rb.Close(); err != nil {
 				return nil, fmt.Errorf("%w: skip section: %v", ErrBadCheckpoint, err)

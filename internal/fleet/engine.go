@@ -155,17 +155,74 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// envelope is one queued stream element: a record, an event, or a
-// checkpoint barrier. prov is the shared provenance context of the
-// ingest batch the element arrived in (nil on the Replay and
-// per-record paths): one pointer per envelope, one allocation per
-// frame, so tracing never adds per-record allocations.
+// envelope is one queued stream element in the form the shard
+// queues carry it: 64 bytes, no pointers. A batch of envelopes is
+// therefore copied once (when the producer writes it) and never scanned
+// by the garbage collector. Everything pointer-shaped travels out of
+// band on the envelope's *batch: the vehicle's name (as a per-shard
+// slot number), events (as an index into batch.events), the ingest
+// provenance (as runs in batch.provs) and checkpoint barriers.
 type envelope struct {
-	isEvent bool
-	rec     timeseries.Record
-	ev      obd.Event
-	bar     *barrier
-	prov    *obs.BatchCtx
+	slot uint32 // vehicle slot in the owning shard
+	ev   uint32 // 0 for a record, i+1 for the batch's events[i]
+	ns   int64  // record time, unix nanoseconds
+	vals [obd.NumPIDs]float64
+}
+
+// provRun starts a run of envelopes sharing one ingest provenance
+// context: envelopes from index at up to the next run's start carry bc
+// (nil for untraced ingest).
+type provRun struct {
+	at int
+	bc *obs.BatchCtx
+}
+
+// batch is the unit the shard queues move: up to BatchSize envelopes
+// plus their out-of-band side data. names registers vehicles first seen
+// by this batch's producers: they take the shard's next slots in order,
+// and the shard goroutine appends them to its slot table before it
+// processes the envelopes. A non-nil bar parks the shard after the
+// batch's envelopes. Parked envelopes of a fitting vehicle are kept in
+// a batch too, so they replay through the same loop.
+type batch struct {
+	envs   []envelope
+	events []obd.Event
+	names  []string
+	provs  []provRun
+	bar    *barrier
+}
+
+// prov is the provenance context of the batch's last envelope.
+func (b *batch) prov() *obs.BatchCtx {
+	if n := len(b.provs); n > 0 {
+		return b.provs[n-1].bc
+	}
+	return nil
+}
+
+// park appends a copy of env, which belongs to a batch holding events
+// and was delivered under prov.
+func (b *batch) park(env *envelope, events []obd.Event, prov *obs.BatchCtx) {
+	if prov != b.prov() {
+		b.provs = append(b.provs, provRun{at: len(b.envs), bc: prov})
+	}
+	b.envs = append(b.envs, *env)
+	if env.ev != 0 {
+		b.events = append(b.events, events[env.ev-1])
+		b.envs[len(b.envs)-1].ev = uint32(len(b.events))
+	}
+}
+
+// reset empties the batch for reuse, dropping its references.
+func (b *batch) reset() {
+	b.envs = b.envs[:0]
+	clear(b.events)
+	b.events = b.events[:0]
+	clear(b.names)
+	b.names = b.names[:0]
+	clear(b.provs)
+	b.provs = b.provs[:0]
+	b.bar = nil
 }
 
 // barrier pauses a shard at a batch boundary: the shard acknowledges
@@ -177,69 +234,82 @@ type barrier struct {
 	resume chan struct{}
 }
 
+// slot is one vehicle's entry in its shard's slot table, indexed by the
+// envelope's slot number. The handler's optional interfaces are
+// asserted once, when it is installed. parked is non-nil exactly while
+// a fit for the vehicle is in flight: it queues the envelopes that
+// arrive meanwhile, replayed in order when the fit lands.
+type slot struct {
+	id     string
+	h      Handler
+	ps     ProvenanceSink // h's, when it has one
+	fd     FitDeferrer    // h's, unless fits run synchronously
+	skip   bool           // excluded by the config, or failed
+	parked *batch
+}
+
 // shard owns a disjoint subset of the fleet's pipelines. The struct is
 // laid out in ownership bands with cache-line padding between them:
-// producers mutate the ingest band (mu, pending) while the shard
+// producers mutate the ingest band (mu, pending, ids) while the shard
 // goroutine bumps the counter band on every envelope, and without the
 // padding those writes false-share — each counter increment would
 // bounce the line holding the ingest mutex across cores and vice
-// versa, which is one of the ways BENCH_2's shards=2 run managed to be
-// slower than shards=1.
+// versa.
 type shard struct {
 	// Read-only header, set once at construction: the shard's identity
 	// and its channels. free is the shard's batch free list — consumer→
 	// producer recycling that pairs each Put with a Get for the same
 	// shard, so recycled batches never migrate through sync.Pool's
 	// per-P caches (a producer on another P would miss there and
-	// allocate; the misses are what poolNew counts). Padded from the
-	// ingest band so producers hammering mu don't bounce the line the
-	// consumer re-reads these pointers from.
+	// allocate; the misses are what poolNew counts).
 	index int
-	in    chan []envelope
-	free  chan []envelope
+	in    chan *batch
+	free  chan *batch
 	_     [64]byte
 
-	// ingest band: touched by producer goroutines under mu.
+	// ingest band: touched by producer goroutines under mu. ids maps a
+	// vehicle to its slot number; a vehicle seen for the first time is
+	// given the next slot and its name rides on the pending batch.
 	mu      sync.Mutex
-	pending []envelope
+	pending *batch
+	ids     map[string]uint32
 	_       [64]byte
 
 	// cordon band: the vehicle-availability fence behind Cordon and
 	// ExtractVehicle. cordonMu guards the map; cordonN mirrors its size
-	// so producers (under mu) and the shard goroutine (handler-build
-	// path) both skip the lock entirely while no vehicle is fenced —
-	// the steady state, which therefore costs one atomic load. The
-	// fence gets its own mutex because the shard goroutine must be able
-	// to consult it while a quiescer holds mu waiting for the barrier
-	// acknowledgement. Setters additionally hold mu, which orders a new
-	// fence against in-flight enqueues: envelopes admitted before the
-	// fence sit ahead of any barrier a subsequent quiesce posts.
+	// so producers (under mu) skip the lock entirely while no vehicle is
+	// fenced — the steady state, which therefore costs one atomic load.
+	// The fence gets its own mutex so CordonState can read it while a
+	// quiescer holds mu waiting for the barrier acknowledgement. Setters
+	// additionally hold mu, which orders a new fence against in-flight
+	// enqueues: envelopes admitted before the fence sit ahead of any
+	// barrier a subsequent quiesce posts.
 	cordonMu sync.Mutex
 	cordon   map[string]string
 	cordonN  atomic.Int64
 	_        [64]byte
 
 	// consumer band: owned by the shard goroutine, no synchronisation.
-	handlers map[string]Handler
-	skip     map[string]bool
+	// slots grows only at batch boundaries (a batch's names) or while
+	// the shard is quiesced or stopped.
+	slots []slot
 
-	// Provenance tracking, also shard-goroutine-owned. lastProv is the
-	// most recent batch context seen (pointer identity marks "same
-	// frame"), lastDequeue the clock read taken when it first surfaced —
-	// reused as every one of its records' dequeue time so tracing costs
-	// one clock read per (shard, frame), not per record. sawProv stays
-	// false until the first traced envelope, which keeps the untraced
-	// deliver path (Replay, bit-identity gates, overhead gate) at a
-	// single nil check.
+	// Provenance tracking. lastProv is the most recent batch context
+	// seen (pointer identity marks "same frame"), lastDequeue the clock
+	// read taken when it first surfaced — reused as every one of its
+	// records' dequeue time so tracing costs one clock read per (shard,
+	// frame), not per record. sawProv stays false until the first
+	// traced envelope, which keeps the untraced deliver path (Replay,
+	// bit-identity gates, overhead gate) at a single nil check.
 	lastProv    *obs.BatchCtx
 	lastDequeue time.Time
 	sawProv     bool
 
-	// Asynchronous refits. busy[id] exists exactly while a fit for
-	// vehicle id is in flight; its value is the queue of envelopes that
-	// arrived for the vehicle meanwhile, replayed in order when the fit
-	// lands on fitDone. Both are touched only by the shard goroutine.
-	busy    map[string][]envelope
+	// Asynchronous refits: busy counts slots with a fit in flight, parks
+	// holds emptied parking batches for reuse, and fitDone carries
+	// completions back to the shard goroutine.
+	busy    int
+	parks   []*batch
 	fitDone chan fitResult
 	_       [64]byte
 
@@ -252,6 +322,25 @@ type shard struct {
 	alarms    atomic.Uint64
 	drops     atomic.Uint64
 	_         [64]byte
+}
+
+// slotOf returns a vehicle's slot number, allocating the next one on
+// first sight. The caller holds s.mu. A new vehicle's name rides to the
+// shard goroutine on b, the batch its first envelope is written into;
+// with b nil the caller owns the shard goroutine's side too (quiesced
+// or not running) and the slot is created directly.
+func (s *shard) slotOf(id string, b *batch) uint32 {
+	n, ok := s.ids[id]
+	if !ok {
+		n = uint32(len(s.ids))
+		s.ids[id] = n
+		if b != nil {
+			b.names = append(b.names, id)
+		} else {
+			s.slots = append(s.slots, slot{id: id})
+		}
+	}
+	return n
 }
 
 // ShardStats is a point-in-time snapshot of one shard's counters.
@@ -283,9 +372,9 @@ type Engine struct {
 	cfg       Config
 	shards    []*shard
 	alarmCh   chan detector.Alarm
-	pool      sync.Pool     // *[]envelope batch recycling
+	pool      sync.Pool     // *batch recycling
 	poolNew   atomic.Uint64 // batches allocated because the pool was empty
-	stagePool sync.Pool     // *ingestStage per-producer batch staging
+	stagePool sync.Pool     // *ingestStage per-producer staging
 	wg        sync.WaitGroup
 
 	batchH *obs.Histogram // per-batch processing latency (nil without observer)
@@ -308,7 +397,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // newEngineStopped builds the engine's shards without starting their
-// goroutines, so checkpoint restore can pre-populate handler maps
+// goroutines, so checkpoint restore can pre-populate slot tables
 // race-free before processing begins.
 func newEngineStopped(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
@@ -321,18 +410,15 @@ func newEngineStopped(cfg Config) (*Engine, error) {
 	}
 	e.pool.New = func() any {
 		e.poolNew.Add(1)
-		b := make([]envelope, 0, cfg.BatchSize)
-		return &b
+		return &batch{envs: make([]envelope, 0, cfg.BatchSize)}
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			index:    i,
-			in:       make(chan []envelope, cfg.QueueDepth),
-			free:     make(chan []envelope, cfg.QueueDepth),
-			handlers: map[string]Handler{},
-			skip:     map[string]bool{},
-			busy:     map[string][]envelope{},
-			fitDone:  make(chan fitResult),
+			index:   i,
+			in:      make(chan *batch, cfg.QueueDepth),
+			free:    make(chan *batch, cfg.QueueDepth),
+			ids:     map[string]uint32{},
+			fitDone: make(chan fitResult),
 		}
 	}
 	e.registerMetrics()
@@ -413,10 +499,11 @@ func (e *Engine) shardFor(vehicleID string) *shard {
 }
 
 // IngestRecord queues one record for its vehicle's shard, blocking when
-// the shard's queue is full (backpressure). A cordoned or mid-handoff
-// vehicle is refused with a typed *VehicleUnavailableError.
+// the shard's queue is full (backpressure). It is IngestBatch with a
+// batch of one; a cordoned or mid-handoff vehicle is refused with a
+// typed *VehicleUnavailableError.
 func (e *Engine) IngestRecord(r timeseries.Record) error {
-	return e.ingest(envelope{rec: r}, r.VehicleID)
+	return e.ingestBatch([]timeseries.Record{r}, nil, nil)
 }
 
 // IngestEvent queues one maintenance event for its vehicle's shard. An
@@ -424,78 +511,53 @@ func (e *Engine) IngestRecord(r timeseries.Record) error {
 // streams chronologically with events first on equal timestamps, the
 // same contract as core.RunVehicle (Replay does this automatically).
 func (e *Engine) IngestEvent(ev obd.Event) error {
-	return e.ingest(envelope{isEvent: true, ev: ev}, ev.VehicleID)
+	return e.ingestBatch(nil, []obd.Event{ev}, nil)
 }
 
-func (e *Engine) ingest(env envelope, vehicleID string) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	s := e.shardFor(vehicleID)
-	s.mu.Lock()
-	if s.cordonN.Load() != 0 {
-		s.cordonMu.Lock()
-		st, fenced := s.cordon[vehicleID]
-		s.cordonMu.Unlock()
-		if fenced {
-			s.mu.Unlock()
-			return &VehicleUnavailableError{VehicleID: vehicleID, State: st, Refused: 1}
-		}
-	}
-	if s.pending == nil {
-		s.pending = e.getBatch(s)
-	}
-	s.pending = append(s.pending, env)
-	if len(s.pending) >= e.cfg.BatchSize {
-		batch := s.pending
-		s.pending = nil
-		// The send stays under the ingest mutex so concurrent producers
-		// cannot reorder a shard's batches; this is the backpressure
-		// point, not the hot path.
-		s.in <- batch
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// ingestStage is the producer-local staging area IngestBatch reuses
-// across calls: one envelope run per shard, so a whole batch crosses
-// each shard's ingest mutex in a single critical section instead of one
-// lock round trip per record.
+// ingestStage is the producer-local staging area ingestBatch reuses
+// across calls: per shard, the merged-order references of the items
+// routed to it (index<<1, low bit set for events), so a whole call
+// crosses each shard's ingest mutex in a single critical section and
+// each envelope is written exactly once, straight into its batch. recs
+// and evs hold a sorted copy of unordered input.
 type ingestStage struct {
-	perShard [][]envelope
+	refs [][]uint32
+	recs []timeseries.Record
+	evs  []obd.Event
 }
 
 // IngestBatch queues a whole decoded batch — records and events merged
 // chronologically, events before same-timestamp records, exactly as
-// Replay orders them — routing it to shards in one pass. Compared with
-// per-record IngestRecord calls it pays the shard hash once per item
-// but the ingest mutex only once per (shard, batch), which is what
-// keeps a network ingest path off the engine's synchronisation edges.
-// Each input slice must be time-sorted (the usual telemetry upload
+// core.Merged orders them — routing it to shards in one pass. It pays
+// the shard hash once per item but the ingest mutex only once per
+// (shard, call), which is what keeps a network ingest path off the
+// engine's synchronisation edges. It is the engine's one way in:
+// IngestRecord, IngestEvent and Replay are all written in terms of it.
+// Each input slice should be time-sorted (the usual telemetry upload
 // shape); unsorted batches are handled but fall back to a sorting
-// merge.
+// merge. Record times must be representable as int64 unix nanoseconds
+// (years 1678–2262): shards deliver each record with its Time rebuilt
+// as time.Unix(0, ns).UTC(), the same instant the wire decoder yields.
 //
-// Backpressure semantics match IngestRecord: a full shard queue blocks
-// the call (holding only that shard's ingest mutex) until the shard
-// drains. Like IngestRecord it leaves a partial batch pending — call
-// Flush to push tails out when latency matters more than batching.
-// Safe for concurrent use; per-shard envelope order follows
-// per-producer call order.
+// A full shard queue blocks the call (holding only that shard's ingest
+// mutex) until the shard drains — that is the backpressure. The call
+// leaves a partial batch pending; call Flush to push tails out when
+// latency matters more than batching. Safe for concurrent use;
+// per-shard envelope order follows per-producer call order.
 //
 // Items for a cordoned or mid-handoff vehicle are refused with a typed
 // *VehicleUnavailableError. The refusal is all-or-nothing per vehicle
-// (a vehicle's items all hash to one shard and are filtered before any
-// of them is enqueued) but not per call: other vehicles' items in the
-// same batch are admitted normally, and the error reports how many
-// items were refused so the producer can retry exactly those vehicles
-// against their new placement.
+// (a vehicle's items all hash to one shard, and its fence cannot change
+// while the shard's ingest mutex is held) but not per call: other
+// vehicles' items in the same batch are admitted normally, and the
+// error reports how many items were refused so the producer can retry
+// exactly those vehicles against their new placement.
 func (e *Engine) IngestBatch(records []timeseries.Record, events []obd.Event) error {
 	return e.ingestBatch(records, events, nil)
 }
 
 // IngestBatchCtx is IngestBatch with provenance: every envelope of the
-// batch carries bc by pointer, so alarms raised by these records can
+// batch is attributed to bc, so alarms raised by these records can
 // report which ingest batch caused them and how long the path took.
 // bc.Enqueue is stamped here, once, when the batch enters the shard
 // queues — before the first channel send, so the channel's
@@ -517,41 +579,90 @@ func (e *Engine) ingestBatch(records []timeseries.Record, events []obd.Event, bc
 	}
 	st, _ := e.stagePool.Get().(*ingestStage)
 	if st == nil {
-		st = &ingestStage{perShard: make([][]envelope, len(e.shards))}
+		st = &ingestStage{refs: make([][]uint32, len(e.shards))}
 	}
-	push := func(env envelope, vehicleID string) error {
-		env.prov = bc
-		i := e.shardFor(vehicleID).index
-		st.perShard[i] = append(st.perShard[i], env)
-		return nil
+	if !timeSorted(records, events) {
+		st.recs, st.evs = sortMerged(records, events, st.recs[:0], st.evs[:0])
+		records, events = st.recs, st.evs
 	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
+	e.stage(st, records, events)
+	if bc != nil {
+		// Stamped before the first channel send: consumers read
+		// Enqueue through the channel's happens-before edge.
+		bc.Enqueue = time.Now()
+	}
 	var refusal VehicleUnavailableError
-	if err == nil {
-		if bc != nil {
-			// Stamped before the first channel send: consumers read
-			// Enqueue through the channel's happens-before edge.
-			bc.Enqueue = time.Now()
-		}
-		for i, staged := range st.perShard {
-			if len(staged) > 0 {
-				e.enqueueStaged(e.shards[i], staged, &refusal)
-			}
-		}
-		if bc != nil {
-			e.cfg.Observer.TracedBatch()
+	for i, refs := range st.refs {
+		if len(refs) > 0 {
+			e.enqueueStaged(e.shards[i], refs, records, events, bc, &refusal)
 		}
 	}
-	for i := range st.perShard {
-		st.perShard[i] = st.perShard[i][:0]
+	if bc != nil {
+		e.cfg.Observer.TracedBatch()
 	}
+	for i := range st.refs {
+		st.refs[i] = st.refs[i][:0]
+	}
+	clear(st.recs)
+	clear(st.evs)
 	e.stagePool.Put(st)
-	if err == nil && refusal.Refused > 0 {
-		return &refusal
+	if refusal.Refused > 0 {
+		err := refusal // only a refusal escapes
+		return &err
 	}
-	return err
+	return nil
+}
+
+// stage routes every item of time-sorted streams to its shard's run
+// of references in merged order: chronological, events first on equal
+// timestamps — the order core.Merged gives them.
+func (e *Engine) stage(st *ingestStage, records []timeseries.Record, events []obd.Event) {
+	var (
+		i, j    int
+		lastID  string
+		shardIx = -1
+	)
+	for i < len(records) || j < len(events) {
+		var id string
+		var ref uint32
+		if j < len(events) && (i == len(records) || !events[j].Time.After(records[i].Time)) {
+			id, ref = events[j].VehicleID, uint32(j)<<1|1
+			j++
+		} else {
+			id, ref = records[i].VehicleID, uint32(i)<<1
+			i++
+		}
+		if shardIx < 0 || id != lastID {
+			shardIx, lastID = e.shardFor(id).index, id
+		}
+		st.refs[shardIx] = append(st.refs[shardIx], ref)
+	}
+}
+
+// timeSorted reports whether both streams are non-decreasing in time.
+func timeSorted(records []timeseries.Record, events []obd.Event) bool {
+	for i := 1; i < len(records); i++ {
+		if records[i].Time.Before(records[i-1].Time) {
+			return false
+		}
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Time.Before(events[i-1].Time) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortMerged appends unordered streams to recs and evs in core.Merged's
+// order — a stable sort by time, events first on ties — so both copies
+// come out time-sorted.
+func sortMerged(records []timeseries.Record, events []obd.Event,
+	recs []timeseries.Record, evs []obd.Event) ([]timeseries.Record, []obd.Event) {
+	core.Merged("", records, events, //nolint:errcheck // callbacks never fail
+		func(ev obd.Event) error { evs = append(evs, ev); return nil },
+		func(r timeseries.Record) error { recs = append(recs, r); return nil })
+	return recs, evs
 }
 
 // getBatch returns an empty batch for shard s: the shard's own free
@@ -559,162 +670,173 @@ func (e *Engine) ingestBatch(records []timeseries.Record, events []obd.Event, bc
 // path — every processed batch comes back through it — so the
 // sync.Pool (whose per-P caches a cross-P producer misses, and whose
 // victim cache each GC clears) only sees startup and overflow traffic.
-func (e *Engine) getBatch(s *shard) []envelope {
+// Either way the batch has room for BatchSize envelopes.
+func (e *Engine) getBatch(s *shard) *batch {
 	select {
 	case b := <-s.free:
 		return b
 	default:
-		return *(e.pool.Get().(*[]envelope))
+		return e.pool.Get().(*batch)
 	}
 }
 
 // putBatch recycles a processed batch onto the shard's free list,
 // overflowing into the shared pool when producers are not taking
-// batches back fast enough (e.g. after a Replay finished).
-func (e *Engine) putBatch(s *shard, batch []envelope) {
-	batch = batch[:0]
+// batches back fast enough (e.g. after a Replay finished). Only
+// full-capacity batches are recycled — producers write envelopes into
+// a batch's spare capacity in place — so a barrier-only batch is
+// dropped.
+func (e *Engine) putBatch(s *shard, b *batch) {
+	if cap(b.envs) < e.cfg.BatchSize {
+		return
+	}
+	b.reset()
 	select {
-	case s.free <- batch:
+	case s.free <- b:
 	default:
-		e.pool.Put(&batch)
+		e.pool.Put(b)
 	}
 }
 
-// envID returns the vehicle an envelope belongs to.
-func envID(env *envelope) string {
-	if env.isEvent {
-		return env.ev.VehicleID
-	}
-	return env.rec.VehicleID
-}
-
-// enqueueStaged appends one shard's staged envelopes to its pending
-// batch under a single mutex acquisition, flushing full batches into
-// the queue as they fill — the same BatchSize chunking and blocking
-// send as the per-record path, amortised over the run. When the shard
-// has cordoned vehicles, their items are filtered out — before any of
-// them is enqueued, so per-vehicle admission stays all-or-nothing —
-// and counted into refusal.
-func (e *Engine) enqueueStaged(s *shard, staged []envelope, refusal *VehicleUnavailableError) {
+// enqueueStaged writes one shard's staged items into its pending batch
+// under a single mutex acquisition, resolving each vehicle's slot on
+// the way and sending batches into the queue as they fill — the
+// blocking send is the backpressure point. When the shard has cordoned
+// vehicles, their items are counted into refusal instead; the fence
+// cannot change while mu is held, so per-vehicle admission is
+// all-or-nothing.
+func (e *Engine) enqueueStaged(s *shard, refs []uint32, records []timeseries.Record, events []obd.Event,
+	bc *obs.BatchCtx, refusal *VehicleUnavailableError) {
 	s.mu.Lock()
-	if s.cordonN.Load() != 0 {
-		s.cordonMu.Lock()
-		kept := staged[:0]
-		for i := range staged {
-			id := envID(&staged[i])
-			if st, fenced := s.cordon[id]; fenced {
-				if refusal.VehicleID == "" {
-					refusal.VehicleID = id
-					refusal.State = st
-				}
-				refusal.Refused++
-				continue
+	fenced := s.cordonN.Load() != 0
+	var (
+		lastID  string
+		n       uint32
+		refused bool
+		known   bool
+	)
+	for _, ref := range refs {
+		var id string
+		if ref&1 != 0 {
+			id = events[ref>>1].VehicleID
+		} else {
+			id = records[ref>>1].VehicleID
+		}
+		b := s.pending
+		if b == nil {
+			b = e.getBatch(s)
+			s.pending = b
+		}
+		if !known || id != lastID {
+			known, lastID = true, id
+			refused = fenced && refuse(s, id, refusal)
+			if !refused {
+				n = s.slotOf(id, b)
 			}
-			kept = append(kept, staged[i])
 		}
-		s.cordonMu.Unlock()
-		staged = kept
-	}
-	for len(staged) > 0 {
-		if s.pending == nil {
-			s.pending = e.getBatch(s)
+		if refused {
+			refusal.Refused++
+			continue
 		}
-		free := e.cfg.BatchSize - len(s.pending)
-		if free > len(staged) {
-			free = len(staged)
+		if bc != b.prov() {
+			b.provs = append(b.provs, provRun{at: len(b.envs), bc: bc})
 		}
-		s.pending = append(s.pending, staged[:free]...)
-		staged = staged[free:]
-		if len(s.pending) >= e.cfg.BatchSize {
-			batch := s.pending
+		// Written in place: getBatch guarantees room for BatchSize.
+		k := len(b.envs)
+		b.envs = b.envs[:k+1]
+		env := &b.envs[k]
+		env.slot = n
+		if ref&1 != 0 {
+			b.events = append(b.events, events[ref>>1])
+			env.ev = uint32(len(b.events))
+			env.ns = 0
+			env.vals = [obd.NumPIDs]float64{}
+		} else {
+			r := &records[ref>>1]
+			env.ev = 0
+			env.ns = r.Time.UnixNano()
+			env.vals = r.Values
+		}
+		if k+1 >= e.cfg.BatchSize {
 			s.pending = nil
-			s.in <- batch
+			s.in <- b
 		}
 	}
 	s.mu.Unlock()
+}
+
+// refuse reports whether a vehicle is fenced, noting the first refused
+// vehicle in refusal. The caller holds s.mu.
+func refuse(s *shard, id string, refusal *VehicleUnavailableError) bool {
+	s.cordonMu.Lock()
+	st, fenced := s.cordon[id]
+	s.cordonMu.Unlock()
+	if fenced && refusal.VehicleID == "" {
+		refusal.VehicleID = id
+		refusal.State = st
+	}
+	return fenced
 }
 
 // Flush pushes every shard's partially filled batch into its queue.
 func (e *Engine) Flush() {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		if len(s.pending) > 0 {
-			batch := s.pending
+		if b := s.pending; b != nil && len(b.envs) > 0 {
 			s.pending = nil
-			s.in <- batch
+			s.in <- b
 		}
 		s.mu.Unlock()
 	}
 }
 
+// replayChunk is how many records Replay hands IngestBatch per call:
+// large enough to amortise the per-call staging and mutex work, small
+// enough that every shard receives work early.
+const replayChunk = 4096
+
 // Replay feeds whole record and event streams through the engine in
 // chronological order — events before same-timestamp records, exactly as
-// core.RunVehicle merges them — and flushes. Replay must be the only
-// producer while it runs: it batches per shard in producer-local buffers
-// with no per-record locking, which is what lets a single replaying
-// goroutine saturate many scoring shards. It does not Close the engine,
-// so streams can be replayed back to back.
+// core.RunVehicle merges them — and flushes. It is a loop over
+// IngestBatch on consecutive chunks of the merged stream, so it may run
+// alongside other producers (and live checkpoints) like any IngestBatch
+// caller. Refused items of cordoned vehicles are summed into one
+// *VehicleUnavailableError while the rest of the stream is admitted. It
+// does not Close the engine, so streams can be replayed back to back.
 func (e *Engine) Replay(records []timeseries.Record, events []obd.Event) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	// Push out anything queued via IngestRecord/IngestEvent first so
-	// batches stay ordered behind it.
-	e.Flush()
-	local := make([][]envelope, len(e.shards))
-	// Adaptive batch sizing: batch boundaries carry no semantics (shards
-	// process envelopes in order either way), so the producer trades
-	// latency for handoff amortisation per shard. A backed-up shard
-	// queue means the consumer is the bottleneck — double the batch so
-	// each channel operation moves more work; an empty queue means the
-	// producer is — shrink back toward BatchSize so the shard is not
-	// left idle waiting for a huge batch to fill.
-	caps := make([]int, len(e.shards))
-	for i := range caps {
-		caps[i] = e.cfg.BatchSize
+	if !timeSorted(records, events) {
+		records, events = sortMerged(records, events, nil, nil)
 	}
-	// The growth ceiling is bounded on both axes: never more than 16
-	// batches' worth of envelopes in one send, and never more than a
-	// quarter of the queue's total envelope capacity — so an adapted
-	// producer still leaves the consumer a queue of several batches to
-	// drain opportunistically, instead of one giant batch that
-	// serialises the pipeline behind a single channel handoff.
-	maxCap := e.cfg.BatchSize * 16
-	if lim := e.cfg.BatchSize * e.cfg.QueueDepth / 4; lim > e.cfg.BatchSize && maxCap > lim {
-		maxCap = lim
-	}
-	push := func(env envelope, vehicleID string) error {
-		s := e.shardFor(vehicleID)
-		i := s.index
-		if local[i] == nil {
-			local[i] = e.getBatch(s)
+	var (
+		refused VehicleUnavailableError
+		vu      *VehicleUnavailableError
+	)
+	for r0, e0 := 0, 0; r0 < len(records) || e0 < len(events); {
+		// A chunk ends just before record r1: it holds every event that
+		// merges ahead of that record.
+		r1, e1 := min(r0+replayChunk, len(records)), e0
+		for e1 < len(events) && (r1 == len(records) || !events[e1].Time.After(records[r1].Time)) {
+			e1++
 		}
-		local[i] = append(local[i], env)
-		if len(local[i]) >= caps[i] {
-			s.in <- local[i]
-			local[i] = nil
-			if q := len(s.in); q > e.cfg.QueueDepth/4 {
-				if c := caps[i] * 2; c <= maxCap {
-					caps[i] = c
-				}
-			} else if q <= 1 && caps[i] > e.cfg.BatchSize {
-				// Near-empty, not just empty: a queue hovering at one
-				// batch is already consumer-bound enough that a big
-				// batch only adds producer-side latency.
-				caps[i] /= 2
+		err := e.IngestBatch(records[r0:r1], events[e0:e1])
+		if errors.As(err, &vu) {
+			if refused.VehicleID == "" {
+				refused.VehicleID, refused.State = vu.VehicleID, vu.State
 			}
+			refused.Refused += vu.Refused
+		} else if err != nil {
+			return err
 		}
-		return nil
+		r0, e0 = r1, e1
 	}
-	err := core.Merged("", records, events,
-		func(ev obd.Event) error { return push(envelope{isEvent: true, ev: ev}, ev.VehicleID) },
-		func(r timeseries.Record) error { return push(envelope{rec: r}, r.VehicleID) })
-	for i, batch := range local {
-		if len(batch) > 0 {
-			e.shards[i].in <- batch
-		}
+	e.Flush()
+	if refused.Refused > 0 {
+		return &refused
 	}
-	return err
+	return nil
 }
 
 // Close flushes pending batches, stops every shard, closes the alarm
@@ -791,10 +913,10 @@ func (e *Engine) Stats() EngineStats {
 // derived samples, alarms) or not at all.
 //
 // It shares the live-checkpoint restrictions: do not call it
-// concurrently with Replay or Close, and keep draining Alarms() while
-// it runs when DropAlarms is unset. On a closed engine it is plain
-// Stats (already exact). Cost is one fleet quiesce — micro to
-// milliseconds — so prefer Stats for dashboards polling at high rates.
+// concurrently with Close, and keep draining Alarms() while it runs
+// when DropAlarms is unset. On a closed engine it is plain Stats
+// (already exact). Cost is one fleet quiesce — micro to milliseconds —
+// so prefer Stats for dashboards polling at high rates.
 func (e *Engine) StatsConsistent() EngineStats {
 	if e.closed.Load() {
 		return e.Stats()
@@ -809,7 +931,7 @@ func (e *Engine) StatsConsistent() EngineStats {
 // producers on the ingest mutexes. It returns the release function;
 // between quiesce and release the caller is the only goroutine
 // touching handler state. Callers must obey the live-checkpoint
-// restrictions (no concurrent Replay/Close, alarms drained).
+// restrictions (no concurrent Close, alarms drained).
 func (e *Engine) quiesce() (release func()) {
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -817,12 +939,7 @@ func (e *Engine) quiesce() (release func()) {
 	bar := &barrier{resume: make(chan struct{})}
 	bar.ack.Add(len(e.shards))
 	for _, s := range e.shards {
-		if len(s.pending) > 0 {
-			batch := s.pending
-			s.pending = nil
-			s.in <- batch
-		}
-		s.in <- []envelope{{bar: bar}}
+		postBarrier(s, bar)
 	}
 	// Every shard drains its queue up to the barrier, then parks.
 	bar.ack.Wait()
@@ -834,26 +951,39 @@ func (e *Engine) quiesce() (release func()) {
 	}
 }
 
+// postBarrier sends bar to the shard on its pending batch (or on a
+// batch of its own), so the shard parks once everything admitted so
+// far is processed. The caller holds s.mu.
+func postBarrier(s *shard, bar *barrier) {
+	b := s.pending
+	s.pending = nil
+	if b == nil {
+		b = &batch{}
+	}
+	b.bar = bar
+	s.in <- b
+}
+
 // Pipelines calls fn for every core.Pipeline the engine has built, shard
 // by shard (handlers of other types are skipped). It must only be used
 // after Close: handlers are owned by shard goroutines while the engine
 // runs.
 func (e *Engine) Pipelines(fn func(*core.Pipeline)) {
-	for _, s := range e.shards {
-		for _, h := range s.handlers {
-			if p, ok := h.(*core.Pipeline); ok {
-				fn(p)
-			}
+	e.Handlers(func(_ string, h Handler) {
+		if p, ok := h.(*core.Pipeline); ok {
+			fn(p)
 		}
-	}
+	})
 }
 
 // Handlers calls fn for every handler the engine has built, shard by
 // shard. Same ownership contract as Pipelines: only after Close.
 func (e *Engine) Handlers(fn func(vehicleID string, h Handler)) {
 	for _, s := range e.shards {
-		for id, h := range s.handlers {
-			fn(id, h)
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.h != nil {
+				fn(sl.id, sl.h)
+			}
 		}
 	}
 }
@@ -861,8 +991,8 @@ func (e *Engine) Handlers(fn func(vehicleID string, h Handler)) {
 // fitResult is an asynchronous fit completion, delivered back to the
 // owning shard goroutine.
 type fitResult struct {
-	vehicleID string
-	err       error
+	slot uint32
+	err  error
 }
 
 // maxDrainBatches bounds how many already-queued batches a shard
@@ -870,13 +1000,12 @@ type fitResult struct {
 const maxDrainBatches = 8
 
 // run is the shard loop: the lock-free hot path. It exclusively owns
-// s.handlers, so pipeline calls need no synchronisation; asynchronous
-// fit completions re-enter the loop through s.fitDone and are therefore
+// s.slots, so pipeline calls need no synchronisation; asynchronous fit
+// completions re-enter the loop through s.fitDone and are therefore
 // landed by the same goroutine that owns the handler.
 //
 // Two receive paths keep channel overhead off the throughput-bound
-// profile: while no fit is in flight nothing can arrive on fitDone (a
-// completion is only ever sent for a vehicle currently in s.busy), so
+// profile: while no fit is in flight nothing can arrive on fitDone, so
 // the loop blocks on a plain channel receive instead of a two-case
 // select; and after each processed batch it opportunistically drains up
 // to maxDrainBatches more batches that are already queued, so a shard
@@ -885,13 +1014,13 @@ const maxDrainBatches = 8
 func (e *Engine) run(s *shard) {
 	defer e.wg.Done()
 	for {
-		var batch []envelope
+		var b *batch
 		var ok bool
-		if len(s.busy) == 0 {
-			batch, ok = <-s.in
+		if s.busy == 0 {
+			b, ok = <-s.in
 		} else {
 			select {
-			case batch, ok = <-s.in:
+			case b, ok = <-s.in:
 			case res := <-s.fitDone:
 				e.finishFit(s, res)
 				continue
@@ -901,16 +1030,16 @@ func (e *Engine) run(s *shard) {
 			e.drainFits(s)
 			return
 		}
-		e.runBatch(s, batch)
+		e.runBatch(s, b)
 	drain:
-		for n := 0; n < maxDrainBatches && len(s.busy) == 0; n++ {
+		for n := 0; n < maxDrainBatches && s.busy == 0; n++ {
 			select {
-			case batch, ok = <-s.in:
+			case b, ok = <-s.in:
 				if !ok {
 					e.drainFits(s)
 					return
 				}
-				e.runBatch(s, batch)
+				e.runBatch(s, b)
 			default:
 				break drain
 			}
@@ -918,97 +1047,98 @@ func (e *Engine) run(s *shard) {
 	}
 }
 
-func (e *Engine) runBatch(s *shard, batch []envelope) {
+func (e *Engine) runBatch(s *shard, b *batch) {
 	var batchStart time.Time
 	if e.batchH != nil {
 		batchStart = time.Now()
 	}
-	sawBarrier := false
-	for i := range batch {
-		env := &batch[i]
-		if env.bar != nil {
-			sawBarrier = true
-			// Checkpoint barrier: a checkpoint must observe fully
-			// settled handler state, so in-flight fits are drained
-			// (replaying their parked envelopes) before the shard
-			// acknowledges and parks at this batch boundary.
-			e.drainFits(s)
-			env.bar.ack.Done()
-			<-env.bar.resume
-			continue
-		}
-		e.processEnv(s, env)
+	for _, id := range b.names {
+		s.slots = append(s.slots, slot{id: id})
 	}
-	// Barrier batches spend their time parked waiting on the
-	// checkpointer; recording that wait would drown the histogram.
-	if e.batchH != nil && !sawBarrier {
+	e.process(s, b)
+	if b.bar != nil {
+		// Checkpoint barrier: a checkpoint must observe fully settled
+		// handler state, so in-flight fits are drained (replaying their
+		// parked envelopes) before the shard acknowledges and parks at
+		// this batch boundary. Barrier batches spend their time parked
+		// waiting on the checkpointer; recording that wait would drown
+		// the latency histogram.
+		e.drainFits(s)
+		b.bar.ack.Done()
+		<-b.bar.resume
+	} else if e.batchH != nil {
 		e.batchH.Observe(time.Since(batchStart).Seconds())
 	}
-	e.putBatch(s, batch)
+	e.putBatch(s, b)
 }
 
-// processEnv routes one envelope: parked when its vehicle has a fit in
-// flight (preserving arrival order), delivered otherwise.
-func (e *Engine) processEnv(s *shard, env *envelope) {
-	id := env.rec.VehicleID
-	if env.isEvent {
-		id = env.ev.VehicleID
-	}
-	// The busy map is empty except while a fit is in flight; the len
-	// check keeps the per-envelope map lookup off the common path.
-	if len(s.busy) != 0 {
-		if parked, inFlight := s.busy[id]; inFlight {
-			s.busy[id] = append(parked, *env)
-			return
+// process routes a batch's envelopes in order: an envelope whose
+// vehicle has a fit in flight is parked (preserving arrival order), the
+// rest are delivered.
+func (e *Engine) process(s *shard, b *batch) {
+	var prov *obs.BatchCtx
+	run := 0
+	for i := range b.envs {
+		if run < len(b.provs) && b.provs[run].at == i {
+			prov = b.provs[run].bc
+			run++
 		}
+		env := &b.envs[i]
+		// busy is zero except while a fit is in flight, which keeps the
+		// parking check off the common path.
+		if s.busy != 0 {
+			if p := s.slots[env.slot].parked; p != nil {
+				p.park(env, b.events, prov)
+				continue
+			}
+		}
+		e.deliver(s, env, b.events, prov)
 	}
-	e.deliver(s, env, id)
 }
 
 // deliver feeds one envelope to its vehicle's handler and, when the
 // handler raised a deferred fit, launches the fit on a fitpool worker
-// and marks the vehicle busy.
-func (e *Engine) deliver(s *shard, env *envelope, id string) {
-	if env.isEvent {
+// and parks the vehicle.
+func (e *Engine) deliver(s *shard, env *envelope, events []obd.Event, prov *obs.BatchCtx) {
+	if env.ev != 0 {
 		s.eventsIn.Add(1)
-		if h, ok := e.handlerFor(s, id); ok {
-			h.HandleEvent(env.ev)
+		if sl := e.handlerFor(s, env.slot); sl != nil {
+			sl.h.HandleEvent(events[env.ev-1])
 		}
 		return
 	}
 	s.recordsIn.Add(1)
-	h, ok := e.handlerFor(s, id)
-	if !ok {
+	sl := e.handlerFor(s, env.slot)
+	if sl == nil {
 		return
 	}
-	if env.prov != nil {
-		if env.prov != s.lastProv {
+	if prov != nil {
+		if prov != s.lastProv {
 			// First envelope of a new traced frame on this shard: one
 			// clock read covers the whole frame's dequeue time, and the
 			// frame's queue wait is observed once.
-			s.lastProv = env.prov
+			s.lastProv = prov
 			s.lastDequeue = time.Now()
 			s.sawProv = true
-			e.cfg.Observer.ObserveQueueWait(s.lastDequeue.Sub(env.prov.Enqueue))
+			e.cfg.Observer.ObserveQueueWait(s.lastDequeue.Sub(prov.Enqueue))
 		}
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(env.prov, s.lastDequeue)
+		if sl.ps != nil {
+			sl.ps.SetProvenance(prov, s.lastDequeue)
 		}
-	} else if s.sawProv {
+	} else if s.sawProv && sl.ps != nil {
 		// A shard that has ever delivered traced records must clear a
 		// handler's provenance before untraced ones, or an untraced
 		// record's alarm would inherit the previous frame's context.
 		// Shards that never saw provenance never take this branch, so
 		// Replay-only runs keep the bare hot path.
-		if ps, ok := h.(ProvenanceSink); ok {
-			ps.SetProvenance(nil, time.Time{})
-		}
+		sl.ps.SetProvenance(nil, time.Time{})
 	}
+	h := sl.h
 	before := h.ScoredSamples()
-	alarms, err := h.HandleRecord(env.rec)
+	alarms, err := h.HandleRecord(timeseries.Record{VehicleID: sl.id, Time: time.Unix(0, env.ns).UTC(), Values: env.vals})
 	s.scored.Add(h.ScoredSamples() - before)
 	if err != nil {
-		e.failVehicle(s, id, err)
+		e.failVehicle(s, env.slot, err)
 		return
 	}
 	for _, a := range alarms {
@@ -1024,67 +1154,75 @@ func (e *Engine) deliver(s *shard, env *envelope, id string) {
 			s.alarms.Add(1)
 		}
 	}
-	if e.cfg.SyncFits {
+	if sl.fd == nil {
 		return
 	}
-	fd, ok := h.(FitDeferrer)
-	if !ok {
-		return
-	}
-	fit := fd.TakePendingFit()
+	fit := sl.fd.TakePendingFit()
 	if fit == nil {
 		return
 	}
-	s.busy[id] = nil // in flight; parked envelopes append here
+	// In flight: the vehicle's envelopes park until the fit lands.
+	if n := len(s.parks); n > 0 {
+		sl.parked, s.parks = s.parks[n-1], s.parks[:n-1]
+	} else {
+		sl.parked = &batch{}
+	}
+	s.busy++
+	n := env.slot
 	go func() {
 		fitpool.Acquire()
 		err := fit()
 		fitpool.Release()
-		s.fitDone <- fitResult{vehicleID: id, err: err}
+		s.fitDone <- fitResult{slot: n, err: err}
 	}()
 }
 
 // failVehicle drops a vehicle after a handler error, exactly as the
 // synchronous path always has: record the error, forget the handler,
 // skip the vehicle's future envelopes.
-func (e *Engine) failVehicle(s *shard, id string, err error) {
-	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", id, err))
-	delete(s.handlers, id)
-	s.skip[id] = true
+func (e *Engine) failVehicle(s *shard, n uint32, err error) {
+	sl := &s.slots[n]
+	e.setErr(fmt.Errorf("fleet: vehicle %s: %w", sl.id, err))
+	sl.h, sl.ps, sl.fd, sl.skip = nil, nil, nil, true
 	s.vehicles.Add(-1)
 }
 
 // finishFit lands one asynchronous fit completion: a failed fit drops
 // the vehicle like an inline fit error would, and either way the
 // envelopes parked during the fit replay in arrival order. A replayed
-// envelope may raise the vehicle's next fit, re-parking the remainder.
+// envelope may raise the vehicle's next fit, re-parking the remainder
+// into a fresh parking batch.
 func (e *Engine) finishFit(s *shard, res fitResult) {
-	parked := s.busy[res.vehicleID]
-	delete(s.busy, res.vehicleID)
+	sl := &s.slots[res.slot]
+	parked := sl.parked
+	sl.parked = nil
+	s.busy--
 	if res.err != nil {
-		e.failVehicle(s, res.vehicleID, res.err)
+		e.failVehicle(s, res.slot, res.err)
 	}
-	for i := range parked {
-		e.processEnv(s, &parked[i])
-	}
+	e.process(s, parked)
+	parked.reset()
+	s.parks = append(s.parks, parked)
 }
 
 // drainFits blocks until the shard has no fit in flight, landing each
 // completion (and its parked replay) as it arrives.
 func (e *Engine) drainFits(s *shard) {
-	for len(s.busy) > 0 {
+	for s.busy > 0 {
 		e.finishFit(s, <-s.fitDone)
 	}
 }
 
-// handlerFor returns the shard's handler for a vehicle, building it on
-// first contact. Skipped and previously failed vehicles return false.
-func (e *Engine) handlerFor(s *shard, vehicleID string) (Handler, bool) {
-	if h, ok := s.handlers[vehicleID]; ok {
-		return h, true
+// handlerFor returns a vehicle's slot with its handler, building the
+// handler on first contact. Skipped and previously failed vehicles
+// return nil.
+func (e *Engine) handlerFor(s *shard, n uint32) *slot {
+	sl := &s.slots[n]
+	if sl.h != nil {
+		return sl
 	}
-	if s.skip[vehicleID] {
-		return nil, false
+	if sl.skip {
+		return nil
 	}
 	// Note the build path deliberately has no cordon check: an envelope
 	// only reaches the shard goroutine if it was admitted before the
@@ -1092,17 +1230,28 @@ func (e *Engine) handlerFor(s *shard, vehicleID string) (Handler, bool) {
 	// and such envelopes are flushed ahead of any extraction barrier —
 	// so building a first handler here is always legitimate, and an
 	// extracted vehicle can never be re-warmed through this path.
-	h, err := e.buildHandler(vehicleID)
+	h, err := e.buildHandler(sl.id)
 	if err != nil {
 		if !errors.Is(err, ErrSkipVehicle) {
-			e.setErr(fmt.Errorf("fleet: configure vehicle %s: %w", vehicleID, err))
+			e.setErr(fmt.Errorf("fleet: configure vehicle %s: %w", sl.id, err))
 		}
-		s.skip[vehicleID] = true
-		return nil, false
+		sl.skip = true
+		return nil
 	}
-	s.handlers[vehicleID] = h
+	e.install(s, sl, h)
+	return sl
+}
+
+// install makes h the live handler of a slot, caching its optional
+// interfaces.
+func (e *Engine) install(s *shard, sl *slot, h Handler) {
+	sl.h = h
+	sl.ps, _ = h.(ProvenanceSink)
+	sl.fd = nil
+	if !e.cfg.SyncFits {
+		sl.fd, _ = h.(FitDeferrer)
+	}
 	s.vehicles.Add(1)
-	return h, true
 }
 
 // buildHandler constructs a vehicle's handler through whichever factory

@@ -111,23 +111,18 @@ func DecodeVehicleState(payload []byte) (VehicleState, error) {
 }
 
 // quiesceShard parks one shard goroutine at a batch boundary: the
-// shard's ingest mutex is held (blocking its producers), its pending
-// batch is flushed, and a barrier envelope drains the queue — in-flight
-// fits included — before the shard acknowledges and parks. Between
-// quiesceShard and release the caller is the only goroutine touching
-// that shard's handlers; every other shard keeps scoring. Callers obey
-// the live-checkpoint restrictions scoped to this shard: no concurrent
-// Replay or Close, and alarms drained when DropAlarms is unset.
+// shard's ingest mutex is held (blocking its producers) and a barrier
+// rides on its pending batch, so the queue — in-flight fits included —
+// drains before the shard acknowledges and parks. Between quiesceShard
+// and release the caller is the only goroutine touching that shard's
+// slots; every other shard keeps scoring. Callers obey the
+// live-checkpoint restrictions scoped to this shard: no concurrent
+// Close, and alarms drained when DropAlarms is unset.
 func (e *Engine) quiesceShard(s *shard) (release func()) {
 	s.mu.Lock()
 	bar := &barrier{resume: make(chan struct{})}
 	bar.ack.Add(1)
-	if len(s.pending) > 0 {
-		batch := s.pending
-		s.pending = nil
-		s.in <- batch
-	}
-	s.in <- []envelope{{bar: bar}}
+	postBarrier(s, bar)
 	bar.ack.Wait()
 	return func() {
 		close(bar.resume)
@@ -270,18 +265,19 @@ func snapshotVehicle(id string, h Handler) (VehicleState, error) {
 // extractOwned removes a vehicle from a shard the caller owns and
 // returns its state.
 func (e *Engine) extractOwned(s *shard, id string) (VehicleState, error) {
-	h, ok := s.handlers[id]
-	if !ok {
-		if s.skip[id] {
+	n, known := s.ids[id]
+	if !known || s.slots[n].h == nil {
+		if known && s.slots[n].skip {
 			return VehicleState{}, fmt.Errorf("fleet: extract vehicle %s: %w (vehicle is skipped)", id, ErrUnknownVehicle)
 		}
 		return VehicleState{}, fmt.Errorf("fleet: extract vehicle %s: %w", id, ErrUnknownVehicle)
 	}
-	vs, err := snapshotVehicle(id, h)
+	sl := &s.slots[n]
+	vs, err := snapshotVehicle(id, sl.h)
 	if err != nil {
 		return VehicleState{}, err
 	}
-	delete(s.handlers, id)
+	sl.h, sl.ps, sl.fd = nil, nil, nil
 	s.vehicles.Add(-1)
 	return vs, nil
 }
@@ -291,10 +287,11 @@ func (e *Engine) extractOwned(s *shard, id string) (VehicleState, error) {
 // restoring the state into it — the same path a whole-engine restore
 // takes, so adopted vehicles continue bit-identically.
 func (e *Engine) adoptOwned(s *shard, vs VehicleState) error {
-	if _, exists := s.handlers[vs.ID]; exists {
+	sl := &s.slots[s.slotOf(vs.ID, nil)]
+	if sl.h != nil {
 		return fmt.Errorf("fleet: adopt vehicle %s: %w", vs.ID, ErrVehicleExists)
 	}
-	if s.skip[vs.ID] {
+	if sl.skip {
 		return fmt.Errorf("%w: vehicle %s is both active and skipped", ErrBadCheckpoint, vs.ID)
 	}
 	h, err := e.buildHandler(vs.ID)
@@ -310,8 +307,7 @@ func (e *Engine) adoptOwned(s *shard, vs VehicleState) error {
 	if err := sn.Restore(vs.Snapshot); err != nil {
 		return fmt.Errorf("fleet: adopt vehicle %s: %w", vs.ID, err)
 	}
-	s.handlers[vs.ID] = h
-	s.vehicles.Add(1)
+	e.install(s, sl, h)
 	return nil
 }
 
@@ -390,11 +386,7 @@ func (e *Engine) VehicleIDs() []string {
 		defer release()
 	}
 	var ids []string
-	for _, s := range e.shards {
-		for id := range s.handlers {
-			ids = append(ids, id)
-		}
-	}
+	e.Handlers(func(id string, _ Handler) { ids = append(ids, id) })
 	sort.Strings(ids)
 	return ids
 }

@@ -7,12 +7,31 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 )
+
+// HTTP server timeouts for every endpoint of the stack. Only the
+// request-header read and idle keep-alive connections are bounded: a
+// client that connects and stalls before sending its headers, or
+// parks an idle connection, is cut off. Bodies and responses are not
+// bounded (no ReadTimeout/WriteTimeout), because an ingest stream may
+// legitimately stay open for as long as its producer keeps sending.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server serving h with the stack's
+// timeouts; callers set Addr or pass a listener to Serve.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // DebugConfig assembles the debug HTTP endpoint.
 type DebugConfig struct {
-	// Registry backs /metrics (and the pdm section of /debug/vars).
-	// Optional: without it /metrics serves an empty exposition.
+	// Registry backs /metrics (and the pdm section of /debug/vars);
+	// NewDebugMux adds the Go runtime gauges of RegisterRuntimeMetrics
+	// to it. Optional: without it /metrics serves an empty exposition.
 	Registry *Registry
 	// Journal backs the journal section of /fleet. Optional.
 	Journal *Journal
@@ -43,6 +62,7 @@ func NewDebugMux(cfg DebugConfig) *http.ServeMux {
 		cfg.JournalN = 32
 	}
 	if cfg.Registry != nil {
+		RegisterRuntimeMetrics(cfg.Registry)
 		cfg.Registry.PublishExpvar("pdm")
 	}
 	mux := http.NewServeMux()
@@ -108,7 +128,7 @@ func StartDebugServer(addr string, cfg DebugConfig) (*DebugServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewDebugMux(cfg)}
+	srv := NewHTTPServer(NewDebugMux(cfg))
 	go srv.Serve(lis) //nolint:errcheck // ErrServerClosed after Close
 	return &DebugServer{srv: srv, lis: lis}, nil
 }

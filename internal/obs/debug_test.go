@@ -3,10 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func debugFixture() (DebugConfig, *Registry, *Journal) {
@@ -143,6 +145,43 @@ func TestStartDebugServer(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestServerClosesStalledHeaders: a client that connects and never
+// finishes its request headers is disconnected after the header
+// timeout, while the server bounds neither bodies nor responses (an
+// ingest stream may stay open indefinitely).
+func TestServerClosesStalledHeaders(t *testing.T) {
+	defer func(h time.Duration) { readHeaderTimeout = h }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	if srv := NewHTTPServer(http.NotFoundHandler()); srv.ReadTimeout != 0 || srv.WriteTimeout != 0 ||
+		srv.ReadHeaderTimeout == 0 || srv.IdleTimeout == 0 {
+		t.Fatalf("server timeouts read=%v write=%v header=%v idle=%v; want only header and idle set",
+			srv.ReadTimeout, srv.WriteTimeout, srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	cfg, _, _ := debugFixture()
+	s, err := StartDebugServer("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after stalling in its headers", time.Since(start))
+	}
+	if n != 0 {
+		t.Fatalf("server answered %d bytes to an incomplete request", n)
 	}
 }
 

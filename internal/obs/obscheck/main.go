@@ -47,6 +47,7 @@ func main() {
 	o.ScoreDist("closest-pair")
 	obs.NewIngestMetrics(reg)
 	obs.NewCtrlMetrics(reg)
+	obs.RegisterRuntimeMetrics(reg)
 	// The event log registers its per-kind counter family lazily, so
 	// record one event of each kind the control plane and serving layer
 	// emit.

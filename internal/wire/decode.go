@@ -38,6 +38,12 @@ type Decoder struct {
 	HandoffSink func(state []byte) error
 
 	intern map[string]string
+	// DecodeStream's header, frame buffer and batch, kept across calls
+	// so a decoder reused for many streams (one per request) reaches
+	// its steady state once.
+	header [HeaderSize]byte
+	buf    []byte
+	batch  Batch
 }
 
 // maxFrame resolves the frame size limit.
@@ -206,21 +212,18 @@ func (d *Decoder) DecodeAll(buf []byte, b *Batch) (int, error) {
 // path of navarchos-serve's streaming endpoint. It returns the frame
 // count and the first read, decode or sink error; a stream ending at a
 // frame boundary returns nil. The frame buffer grows to the largest
-// frame seen and is then reused, so steady state reads are
-// allocation-free too.
+// frame seen and is then reused, by later calls on the same decoder
+// too, so steady state reads are allocation-free; pass a *bufio.Reader
+// to reuse the read buffer as well.
 func (d *Decoder) DecodeStream(r io.Reader, sink FrameSink) (int, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 64<<10)
 	}
-	var (
-		buf    []byte
-		batch  Batch
-		frames int
-	)
+	frames := 0
 	for {
-		var header [HeaderSize]byte
-		if _, err := io.ReadFull(br, header[:]); err != nil {
+		header := d.header[:]
+		if _, err := io.ReadFull(br, header); err != nil {
 			if err == io.EOF {
 				return frames, nil
 			}
@@ -233,23 +236,23 @@ func (d *Decoder) DecodeStream(r io.Reader, sink FrameSink) (int, error) {
 		if n > d.maxFrame() {
 			return frames, ErrFrameTooLarge
 		}
-		if need := HeaderSize + n; cap(buf) < need {
-			buf = make([]byte, need)
+		if need := HeaderSize + n; cap(d.buf) < need {
+			d.buf = make([]byte, need)
 		}
-		frame := buf[:HeaderSize+n]
-		copy(frame, header[:])
+		frame := d.buf[:HeaderSize+n]
+		copy(frame, header)
 		if _, err := io.ReadFull(br, frame[HeaderSize:]); err != nil {
 			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 				return frames, ErrTruncated
 			}
 			return frames, err
 		}
-		batch.Reset()
-		if _, err := d.DecodeInto(frame, &batch); err != nil {
+		d.batch.Reset()
+		if _, err := d.DecodeInto(frame, &d.batch); err != nil {
 			return frames, err
 		}
 		frames++
-		if err := sink.ConsumeBatch(&batch); err != nil {
+		if err := sink.ConsumeBatch(&d.batch); err != nil {
 			return frames, err
 		}
 	}

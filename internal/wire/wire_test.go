@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -162,6 +163,24 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state decode allocated %.1f times per frame of %d records, want 0",
 			allocs, len(recs))
+	}
+
+	// A decoder serving one stream after another (one per request, with
+	// a reused bufio.Reader) keeps its frame buffer and batch across
+	// calls: a warm repeat allocates nothing either.
+	var body bytes.Reader
+	br := bufio.NewReaderSize(&body, 64<<10)
+	sink := SinkFunc(func(*Batch) error { return nil })
+	stream := func() {
+		body.Reset(frames)
+		br.Reset(&body)
+		if n, err := dec.DecodeStream(br, sink); err != nil || n != 1 {
+			t.Fatalf("DecodeStream = %d frames, %v; want 1, nil", n, err)
+		}
+	}
+	stream()
+	if allocs := testing.AllocsPerRun(100, stream); allocs != 0 {
+		t.Fatalf("repeated DecodeStream allocated %.1f times per stream, want 0", allocs)
 	}
 }
 
