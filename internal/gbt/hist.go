@@ -1,6 +1,7 @@
 package gbt
 
 import (
+	"math"
 	"sort"
 
 	"github.com/navarchos/pdm/internal/fitpool"
@@ -12,26 +13,36 @@ import (
 // exactly the midpoints the exact greedy scan would propose.
 const maxBins = 256
 
+// histStride is the per-feature stride of a node histogram: maxBins
+// value bins plus the NaN slot.
+const histStride = maxBins + 1
+
 // histBins is the per-Train binning of the design matrix: each feature's
-// values are mapped once to uint8 bin indices, and every tree node then
+// values are mapped once to bin indices, and every tree node then
 // searches splits over per-bin gradient histograms instead of re-walking
 // pre-sorted row orderings through a membership hash. lo[f][k] / hi[f][k]
 // record the smallest and largest raw value landing in bin k, so
 // candidate thresholds stay midpoints in data space.
+//
+// NaN is not a value bin: NaN rows of feature f all land in slot
+// nbins[f], just past the value bins. The split scan walks value bins
+// only, so a NaN row counts right of every candidate — exactly where
+// the partition (X < thr is false for NaN) sends it.
 type histBins struct {
-	binned [][]uint8   // [feature][row] -> bin index
+	binned [][]uint16  // [feature][row] -> bin index, nbins[f] for NaN
 	lo, hi [][]float64 // [feature][bin] -> value range of the bin
-	nbins  []int       // [feature] -> number of occupied bins
+	nbins  []int       // [feature] -> number of occupied value bins
 }
 
 // buildBins bins every feature of X. Features with more than maxBins
-// distinct values are quantised by spreading the distinct values evenly
-// over maxBins bins (equal-frequency over distinct values), which keeps
-// outliers from collapsing the bulk of the distribution into one bin.
+// distinct non-NaN values are quantised by spreading the distinct
+// values evenly over maxBins bins (equal-frequency over distinct
+// values), which keeps outliers from collapsing the bulk of the
+// distribution into one bin.
 func buildBins(X [][]float64, dim int) *histBins {
 	n := len(X)
 	b := &histBins{
-		binned: make([][]uint8, dim),
+		binned: make([][]uint16, dim),
 		lo:     make([][]float64, dim),
 		hi:     make([][]float64, dim),
 		nbins:  make([]int, dim),
@@ -43,8 +54,11 @@ func buildBins(X [][]float64, dim int) *histBins {
 		}
 		sort.Float64s(vals)
 		distinct := make([]float64, 0, n)
-		for i, v := range vals {
-			if i == 0 || v != distinct[len(distinct)-1] {
+		for _, v := range vals {
+			if math.IsNaN(v) {
+				continue
+			}
+			if len(distinct) == 0 || v != distinct[len(distinct)-1] {
 				distinct = append(distinct, v)
 			}
 		}
@@ -64,15 +78,16 @@ func buildBins(X [][]float64, dim int) *histBins {
 			}
 			hi[k] = v
 		}
-		// cut[k] = upper edge of bin k; assignment is a binary search for
-		// the first bin whose hi covers the value.
-		binned := make([]uint8, n)
+		binned := make([]uint16, n)
 		for i, row := range X {
 			v := row[f]
-			k := sort.SearchFloat64s(hi, v)
+			if math.IsNaN(v) {
+				binned[i] = uint16(nb)
+				continue
+			}
 			// SearchFloat64s returns the first index with hi[k] >= v,
 			// which is exactly the bin whose range contains v.
-			binned[i] = uint8(k)
+			binned[i] = uint16(sort.SearchFloat64s(hi, v))
 		}
 		b.binned[f] = binned
 		b.lo[f] = lo
@@ -84,31 +99,16 @@ func buildBins(X [][]float64, dim int) *histBins {
 
 // nodeHist is one tree node's gradient histogram: per feature, per bin,
 // the gradient sum and the sample count (the hessian of squared loss).
-// Both arrays are flat with stride maxBins.
+// Both arrays are flat with stride histStride. Only the sampled
+// features' occupied slots are meaningful; the rest may hold stale
+// sums from an earlier tree.
 type nodeHist struct {
 	gh  []float64
 	cnt []float64
 }
 
 func newNodeHist(dim int) *nodeHist {
-	return &nodeHist{gh: make([]float64, dim*maxBins), cnt: make([]float64, dim*maxBins)}
-}
-
-func (h *nodeHist) zero() {
-	for i := range h.gh {
-		h.gh[i] = 0
-		h.cnt[i] = 0
-	}
-}
-
-// subtract removes child from h in place — the sibling trick: the
-// larger child's histogram is the parent's minus the smaller child's,
-// computed in O(bins) instead of O(rows).
-func (h *nodeHist) subtract(child *nodeHist) {
-	for i := range h.gh {
-		h.gh[i] -= child.gh[i]
-		h.cnt[i] -= child.cnt[i]
-	}
+	return &nodeHist{gh: make([]float64, dim*histStride), cnt: make([]float64, dim*histStride)}
 }
 
 // histBuilder grows one regression tree with binned split search.
@@ -131,14 +131,47 @@ type histCand struct {
 	ok        bool
 }
 
+// slots returns the range of feature f's occupied slots in a node
+// histogram: its value bins and the NaN slot after them.
+func (b *histBuilder) slots(f int) (lo, hi int) {
+	lo = f * histStride
+	return lo, lo + b.bins.nbins[f] + 1
+}
+
+// get returns a node histogram whose sampled features' slots are zero.
 func (b *histBuilder) get() *nodeHist {
-	if n := len(b.free); n > 0 {
-		h := b.free[n-1]
-		b.free = b.free[:n-1]
-		h.zero()
-		return h
+	n := len(b.free)
+	if n == 0 {
+		return newNodeHist(b.dim)
 	}
-	return newNodeHist(b.dim)
+	h := b.free[n-1]
+	b.free = b.free[:n-1]
+	for f, on := range b.feats {
+		if on {
+			lo, hi := b.slots(f)
+			clear(h.gh[lo:hi])
+			clear(h.cnt[lo:hi])
+		}
+	}
+	return h
+}
+
+// subtract removes child from h in place over the sampled features —
+// the sibling trick: the larger child's histogram is the parent's minus
+// the smaller child's, computed in O(occupied bins) instead of O(rows).
+func (b *histBuilder) subtract(h, child *nodeHist) {
+	for f, on := range b.feats {
+		if !on {
+			continue
+		}
+		lo, hi := b.slots(f)
+		gh, cgh := h.gh[lo:hi], child.gh[lo:hi]
+		cnt, ccnt := h.cnt[lo:hi], child.cnt[lo:hi]
+		for k := range gh {
+			gh[k] -= cgh[k]
+			cnt[k] -= ccnt[k]
+		}
+	}
 }
 
 func (b *histBuilder) put(h *nodeHist) { b.free = append(b.free, h) }
@@ -150,8 +183,8 @@ func (b *histBuilder) fill(h *nodeHist, rows []int) {
 			continue
 		}
 		binned := b.bins.binned[f]
-		gh := h.gh[f*maxBins : (f+1)*maxBins]
-		cnt := h.cnt[f*maxBins : (f+1)*maxBins]
+		gh := h.gh[f*histStride : (f+1)*histStride]
+		cnt := h.cnt[f*histStride : (f+1)*histStride]
 		for _, i := range rows {
 			k := binned[i]
 			gh[k] += b.grad[i]
@@ -219,7 +252,7 @@ func (b *histBuilder) grow(rows []int, depth int, h *nodeHist) int {
 	}
 	hs := b.get()
 	b.fill(hs, small)
-	h.subtract(hs) // h is now the large child's histogram
+	b.subtract(h, hs) // h is now the large child's histogram
 	hl, hr := hs, h
 	if len(right) < len(left) {
 		hl, hr = h, hs
@@ -251,18 +284,19 @@ func (b *histBuilder) bestSplit(h *nodeHist, gTot, hTot float64) (feature int, t
 	return feature, threshold, gain
 }
 
-// scanFeature walks feature f's bins in ascending value order. A
+// scanFeature walks feature f's value bins in ascending value order. A
 // candidate split sits between two consecutive occupied bins; its
 // threshold is the midpoint of the bins' value ranges, matching the
 // between-adjacent-values thresholds of the exact scan (exactly so when
-// the binning is lossless).
+// the binning is lossless). The NaN slot is never walked: its rows are
+// in gTot/hTot and so on the right of every candidate, as in grow.
 func (b *histBuilder) scanFeature(f int, h *nodeHist, gTot, hTot, parent float64) histCand {
 	var c histCand
 	if !b.feats[f] {
 		return c
 	}
-	gh := h.gh[f*maxBins : (f+1)*maxBins]
-	cnt := h.cnt[f*maxBins : (f+1)*maxBins]
+	gh := h.gh[f*histStride : (f+1)*histStride]
+	cnt := h.cnt[f*histStride : (f+1)*histStride]
 	lo, hi := b.bins.lo[f], b.bins.hi[f]
 	var gl, hl float64
 	prev := -1 // last occupied bin below the candidate edge

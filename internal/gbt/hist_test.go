@@ -70,6 +70,9 @@ func TestBinsQuantisedOnManyDistinct(t *testing.T) {
 // TestHistMatchesExactOnDiscreteFeatures trains the histogram and the
 // legacy exact path on data where binning is lossless and requires
 // identical tree structures: same splits, same thresholds, same leaves.
+// The sampled configurations make features leave and re-enter the
+// per-tree sample while node histograms are recycled across trees, so
+// stale slots of unsampled features must never leak into a split.
 func TestHistMatchesExactOnDiscreteFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, dim := 400, 4
@@ -83,36 +86,124 @@ func TestHistMatchesExactOnDiscreteFeatures(t *testing.T) {
 		X[i] = row
 		y[i] = row[0]*2 - row[1] + 0.3*row[2]*row[3] + 0.01*rng.NormFloat64()
 	}
-	cfg := Config{NumTrees: 20, MaxDepth: 4, Seed: 7}
-	legacyCfg := cfg
-	legacyCfg.LegacyFitKernels = true
-	exact, err := Train(X, y, legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact.trees) != len(hist.trees) {
-		t.Fatalf("tree count differs: %d vs %d", len(exact.trees), len(hist.trees))
-	}
-	for ti := range exact.trees {
-		en, hn := exact.trees[ti].nodes, hist.trees[ti].nodes
-		if len(en) != len(hn) {
-			t.Fatalf("tree %d node count differs: %d vs %d", ti, len(en), len(hn))
+	for _, cfg := range []Config{
+		{NumTrees: 20, MaxDepth: 4, Seed: 7},
+		{NumTrees: 20, MaxDepth: 4, Seed: 7, Subsample: 0.7, ColSample: 0.5},
+		{NumTrees: 20, MaxDepth: 4, Seed: 11, Subsample: 0.9, ColSample: 0.75},
+	} {
+		legacyCfg := cfg
+		legacyCfg.LegacyFitKernels = true
+		exact, err := Train(X, y, legacyCfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ni := range en {
-			e, h := en[ni], hn[ni]
-			if e.isLeaf != h.isLeaf || e.feature != h.feature ||
-				e.left != h.left || e.right != h.right ||
-				math.Float64bits(e.threshold) != math.Float64bits(h.threshold) {
-				t.Fatalf("tree %d node %d differs: exact %+v hist %+v", ti, ni, e, h)
+		hist, err := Train(X, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exact.trees) != len(hist.trees) {
+			t.Fatalf("%+v: tree count differs: %d vs %d", cfg, len(exact.trees), len(hist.trees))
+		}
+		for ti := range exact.trees {
+			en, hn := exact.trees[ti].nodes, hist.trees[ti].nodes
+			if len(en) != len(hn) {
+				t.Fatalf("%+v: tree %d node count differs: %d vs %d", cfg, ti, len(en), len(hn))
 			}
-			if math.Abs(e.leaf-h.leaf) > 1e-9 {
-				t.Fatalf("tree %d node %d leaf differs: %v vs %v", ti, ni, e.leaf, h.leaf)
+			for ni := range en {
+				e, h := en[ni], hn[ni]
+				if e.isLeaf != h.isLeaf || e.feature != h.feature ||
+					e.left != h.left || e.right != h.right ||
+					math.Float64bits(e.threshold) != math.Float64bits(h.threshold) {
+					t.Fatalf("%+v: tree %d node %d differs: exact %+v hist %+v", cfg, ti, ni, e, h)
+				}
+				if math.Abs(e.leaf-h.leaf) > 1e-9 {
+					t.Fatalf("%+v: tree %d node %d leaf differs: %v vs %v", cfg, ti, ni, e.leaf, h.leaf)
+				}
 			}
 		}
+	}
+}
+
+// TestHistNaNSlot pins the NaN handling of the binned split search on
+// a feature with exactly maxBins finite distinct values plus NaN rows:
+// the binning must stay lossless (NaN is no value bin), every NaN row
+// must land in the slot past the value bins, and the gain the split
+// scan reports must be the gain of the partition grow makes with the
+// chosen threshold — which puts NaN rows right (X < thr is false). The
+// gradients are small integers, so both sides sum exactly and the
+// gains compare bit for bit.
+func TestHistNaNSlot(t *testing.T) {
+	var X [][]float64
+	var grad []float64
+	for rep := 0; rep < 2; rep++ {
+		for v := 0; v < maxBins; v++ {
+			X = append(X, []float64{float64(v)})
+			g := -1.0
+			if v >= 100 {
+				g = 2
+			}
+			grad = append(grad, g)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		X = append(X, []float64{math.NaN()})
+		grad = append(grad, -6) // strong enough to flip the split if miscounted
+	}
+	bins := buildBins(X, 1)
+	if bins.nbins[0] != maxBins {
+		t.Fatalf("nbins = %d, want %d (lossless: NaN must not take a value bin)", bins.nbins[0], maxBins)
+	}
+	nanRows := 0
+	for i, row := range X {
+		k := int(bins.binned[0][i])
+		if math.IsNaN(row[0]) {
+			nanRows++
+			if k != bins.nbins[0] {
+				t.Fatalf("NaN row %d in slot %d, want %d", i, k, bins.nbins[0])
+			}
+			continue
+		}
+		if bins.lo[0][k] != row[0] || bins.hi[0][k] != row[0] {
+			t.Fatalf("row %d: value %v in bin %d = [%v, %v]", i, row[0], k, bins.lo[0][k], bins.hi[0][k])
+		}
+	}
+
+	cfg := Config{}
+	cfg.defaults()
+	hb := &histBuilder{
+		X: X, grad: grad, cfg: cfg, bins: bins, dim: 1,
+		inBag: make([]bool, len(X)), feats: []bool{true},
+		cands: make([]histCand, 1),
+	}
+	rows := make([]int, len(X))
+	var gTot float64
+	for i := range rows {
+		rows[i] = i
+		hb.inBag[i] = true
+		gTot += grad[i]
+	}
+	hTot := float64(len(rows))
+	h := hb.get()
+	hb.fill(h, rows)
+	if got := h.cnt[bins.nbins[0]]; got != float64(nanRows) {
+		t.Fatalf("NaN slot count = %v, want %d", got, nanRows)
+	}
+	feat, thr, gain := hb.bestSplit(h, gTot, hTot)
+	if feat != 0 {
+		t.Fatalf("no split found (feature %d)", feat)
+	}
+	var gl, hl float64
+	for _, i := range rows {
+		if X[i][0] < thr { // grow's partition
+			gl += grad[i]
+			hl++
+		}
+	}
+	gr, hr := gTot-gl, hTot-hl
+	parent := gTot * gTot / (hTot + cfg.Lambda)
+	want := 0.5 * (gl*gl/(hl+cfg.Lambda) + gr*gr/(hr+cfg.Lambda) - parent)
+	if math.Float64bits(gain) != math.Float64bits(want) {
+		t.Fatalf("split at %v: scan gain %v, partition gain %v (NaN rows on different sides)", thr, gain, want)
 	}
 }
 

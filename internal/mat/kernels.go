@@ -21,6 +21,12 @@ import (
 //     only allocations are inside EnsureShape when a scratch matrix has
 //     to grow, which happens once per layer lifetime.
 //
+// LinFwd, LinBwd and SquaredDistances8 hold to the same rule for
+// reductions that must stay in order: they vectorise ACROSS independent
+// outputs — one lane or accumulator per output column, W row or point —
+// rather than within one reduction, so each output still sees the
+// scalar operation sequence while several dependency chains overlap.
+//
 // DotUnrolled4 is the exception to the determinism rule: it keeps four
 // accumulators and therefore reassociates the reduction. It is for
 // consumers without a bit-exactness contract (diagnostics, benchmarks),
@@ -159,16 +165,66 @@ func AdamStep(w, g, m, v []float64, beta1, beta2, bc1, bc2, lr, eps float64) {
 	}
 }
 
-// LinBwdFast is the fused dense-layer backward row update. For each
+// LinBwd is the exact fused dense-layer backward row update. For each
 // k < len(x) it accumulates the weight gradient and computes the input
 // gradient in a single pass over W:
 //
-//	wg[k·out:(k+1)·out] += x[k]·g   (elementwise — bit-exact lanes)
-//	dx[k] = Σ_j g[j]·w[k·out+j]     (reassociated reduction)
+//	wg[k·out:(k+1)·out] += x[k]·g   (elementwise)
+//	dx[k] = Σ_j g[j]·w[k·out+j]     (in j order, from +0)
 //
-// where out = len(g). The dots reassociate (FMA where available), so
-// this kernel is for fast-dots consumers only — the bit-exact path
-// keeps its in-order scalar reduction. Panics on length mismatch.
+// where out = len(g). Every output keeps the scalar loop's operation
+// sequence — separate multiply and add, each dot reduced strictly in j
+// order — so the result is bit-identical to the per-k axpy plus serial
+// dot it replaces. Speed comes from working on four rows of W at once:
+// their independent reductions run side by side, one SIMD lane per row
+// where the CPU has AVX, interleaved scalar chains otherwise. Panics on
+// length mismatch.
+func LinBwd(x, g, w, wg, dx []float64) {
+	in, out := len(x), len(g)
+	if len(dx) != in || len(w) != in*out || len(wg) != in*out {
+		panic(fmt.Sprintf("mat: LinBwd: len(x)=%d len(g)=%d len(w)=%d len(wg)=%d len(dx)=%d",
+			in, out, len(w), len(wg), len(dx)))
+	}
+	k := 0
+	if hasAVX && in >= 4 {
+		k = in &^ 3
+		linBwdAVX(x[:k], g, w[:k*out], wg[:k*out], dx[:k])
+	}
+	for ; k+4 <= in; k += 4 {
+		w0, w1 := w[k*out:(k+1)*out], w[(k+1)*out:(k+2)*out]
+		w2, w3 := w[(k+2)*out:(k+3)*out], w[(k+3)*out:(k+4)*out]
+		g0, g1 := wg[k*out:(k+1)*out], wg[(k+1)*out:(k+2)*out]
+		g2, g3 := wg[(k+2)*out:(k+3)*out], wg[(k+3)*out:(k+4)*out]
+		x0, x1, x2, x3 := x[k], x[k+1], x[k+2], x[k+3]
+		var a0, a1, a2, a3 float64
+		for j, gj := range g {
+			g0[j] += x0 * gj
+			g1[j] += x1 * gj
+			g2[j] += x2 * gj
+			g3[j] += x3 * gj
+			a0 += gj * w0[j]
+			a1 += gj * w1[j]
+			a2 += gj * w2[j]
+			a3 += gj * w3[j]
+		}
+		dx[k], dx[k+1], dx[k+2], dx[k+3] = a0, a1, a2, a3
+	}
+	for ; k < in; k++ {
+		wr, gr := w[k*out:(k+1)*out], wg[k*out:(k+1)*out]
+		xk := x[k]
+		var a float64
+		for j, gj := range g {
+			gr[j] += xk * gj
+			a += gj * wr[j]
+		}
+		dx[k] = a
+	}
+}
+
+// LinBwdFast is the fused dense-layer backward row update with the
+// same contract as LinBwd except that the dots reassociate (FMA where
+// available), so it is for fast-dots consumers only. Panics on length
+// mismatch.
 func LinBwdFast(x, g, w, wg, dx []float64) {
 	in, out := len(x), len(g)
 	if len(dx) != in || len(w) != in*out || len(wg) != in*out {
@@ -187,25 +243,45 @@ func LinBwdFast(x, g, w, wg, dx []float64) {
 
 // LinFwd computes one dense-layer forward row, out = b + x·W (W is
 // len(x)×len(out) row-major), skipping exact-zero inputs the way the
-// scalar loop does (post-ReLU rows are sparse). Both the AVX kernel and
-// the Go fallback produce bits identical to the scalar loop. Panics on
-// length mismatch.
+// scalar loop does (post-ReLU rows are sparse). Each output column is
+// an in-order reduction over k, and the kernel works on several columns
+// at once — YMM strips of 8, 4 and a masked 1..3 under AVX, four scalar
+// accumulators otherwise — keeping each column's accumulator in a
+// register for the whole k loop. Every width produces bits identical to
+// the scalar loop. Panics on length mismatch.
 func LinFwd(x, b, w, out []float64) {
 	in, width := len(x), len(out)
 	if len(b) != width || len(w) != in*width {
 		panic(fmt.Sprintf("mat: LinFwd: len(x)=%d len(b)=%d len(w)=%d len(out)=%d",
 			in, len(b), len(w), width))
 	}
-	if hasAVX && width >= 8 && width&7 == 0 {
+	if hasAVX {
 		linFwdAVX(x, b, w, out)
 		return
 	}
-	copy(out, b)
-	for k, v := range x {
-		if v == 0 {
-			continue
+	c := 0
+	for ; c+4 <= width; c += 4 {
+		a0, a1, a2, a3 := b[c], b[c+1], b[c+2], b[c+3]
+		for k, v := range x {
+			if v == 0 {
+				continue
+			}
+			r := w[k*width+c : k*width+c+4]
+			a0 += v * r[0]
+			a1 += v * r[1]
+			a2 += v * r[2]
+			a3 += v * r[3]
 		}
-		AddScaled(out, v, w[k*width:(k+1)*width])
+		out[c], out[c+1], out[c+2], out[c+3] = a0, a1, a2, a3
+	}
+	for ; c < width; c++ {
+		a := b[c]
+		for k, v := range x {
+			if v != 0 {
+				a += v * w[k*width+c]
+			}
+		}
+		out[c] = a
 	}
 }
 

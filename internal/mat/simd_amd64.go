@@ -5,19 +5,21 @@ package mat
 // The assembly kernels in simd_amd64.s come in two bit-exactness
 // classes, mirroring the package's determinism contract:
 //
-//   - axpyAVX, adamAVX, normRowAVX and distPackAVX are elementwise (or
-//     per-lane in-order, for the distance kernel): each output element
-//     is produced by exactly the scalar sequence of IEEE-754 operations
-//     (separate multiply and add — never a fused multiply-add), just on
-//     four lanes at a time. distPackAVX vectorises ACROSS points — one
-//     lane per point, each lane's reduction running in element order —
-//     which is how a sum that may not be reassociated still gets SIMD
-//     throughput. Their results are bit-identical to the pure Go loops,
-//     so AddScaled, AdamStep, NormRow and SquaredDistances8 stay inside
-//     the bit-exact contract even when vectorised.
-//   - dotFMA keeps four vector accumulators and uses VFMADD231PD, so it
-//     reassociates and changes rounding. It only ever backs
-//     DotUnrolled4, which already documents reassociation.
+//   - axpyAVX, adamAVX, normRowAVX, linFwdAVX, linBwdAVX and
+//     distPackAVX are elementwise (or per-lane in-order, for the
+//     reductions): each output element is produced by exactly the
+//     scalar sequence of IEEE-754 operations (separate multiply and
+//     add — never a fused multiply-add), just on four lanes at a time.
+//     distPackAVX and linBwdAVX vectorise ACROSS outputs — one lane per
+//     point or per W row, each lane's reduction running in element
+//     order — which is how a sum that may not be reassociated still
+//     gets SIMD throughput. Their results are bit-identical to the pure
+//     Go loops, so AddScaled, AdamStep, NormRow, LinFwd, LinBwd and
+//     SquaredDistances8 stay inside the bit-exact contract even when
+//     vectorised.
+//   - dotFMA and linBwdFMA keep vector accumulators and use
+//     VFMADD231PD, so they reassociate and change rounding. They only
+//     back DotUnrolled4 and LinBwdFast, which document reassociation.
 //
 // Feature detection is done once at init via CPUID/XGETBV (AVX needs
 // both the CPU flag and OS-enabled YMM state). GOAMD64=v1 binaries
@@ -47,10 +49,18 @@ func adamAVX(w, g, m, v []float64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64
 func linBwdFMA(x, g, w, wg, dx []float64)
 
 // linFwdAVX computes out = b + x·W in one call, bit-identical to the
-// scalar loop (including its zero-input skip). len(out) must be a
-// positive multiple of 8. The output is strip-mined through YMM
-// accumulators, so the k loop performs no out-row loads or stores.
+// scalar loop (including its zero-input skip), for any width. The
+// output is strip-mined through YMM accumulators (8-, 4- and masked
+// 1..3-column strips), so the k loop performs no out-row loads or
+// stores.
 func linFwdAVX(x, b, w, out []float64)
+
+// linBwdAVX is the exact fused dense-layer backward over len(x) rows of
+// W (a positive multiple of 4): wg[k] += x[k]·g elementwise and
+// dx[k] = Σ_j g[j]·w[k][j] in j order, one YMM lane per row, so four
+// rows' in-order reductions run side by side. Bit-identical to the
+// scalar loop.
+func linBwdAVX(x, g, w, wg, dx []float64)
 
 // distPackAVX computes the 8 squared Euclidean distances from q to one
 // dim-major packed block. Per lane the accumulation runs in j-order

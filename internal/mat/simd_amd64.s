@@ -186,14 +186,15 @@ lbj:
 // for every k with x[k] != 0 (matching the scalar path's post-ReLU
 // zero skip; NaN x[k] is processed, as in the scalar path). Elementwise
 // multiply-then-add lanes only, so the result is bit-identical to the
-// scalar loop. len(out) = len(b) a positive multiple of 8.
+// scalar loop. Any width, including 0.
 //
-// The output is strip-mined 8 columns at a time with the strip held in
-// two YMM accumulators across the whole k loop, so the inner iteration
-// is broadcast + two W loads + mul + add — no out-row load/store per k
-// the way a column-sweeping axpy pays. Column strips are independent,
-// and within a strip each element accumulates in k-order, so the bits
-// are unchanged.
+// The output is strip-mined with the strip held in YMM accumulators
+// across the whole k loop, so the inner iteration is broadcast + W
+// loads + mul + add — no out-row load/store per k the way a
+// column-sweeping axpy pays. Strips are 8 columns wide, then one of 4,
+// then a masked strip of the last 1..3 columns (masked-off lanes load
+// zeros and are never stored). Strips are independent, and within a
+// strip each element accumulates in k-order, so the bits are unchanged.
 // func linFwdAVX(x, b, w, out []float64)
 TEXT ·linFwdAVX(SB), NOSPLIT, $0-96
 	MOVQ x_base+0(FP), R9
@@ -201,23 +202,26 @@ TEXT ·linFwdAVX(SB), NOSPLIT, $0-96
 	MOVQ b_base+24(FP), BX
 	MOVQ w_base+48(FP), DI
 	MOVQ out_base+72(FP), DX
-	MOVQ out_len+80(FP), CX // out width
+	MOVQ out_len+80(FP), CX // out width = row stride of W
 
 	VXORPD X3, X3, X3
 	XORQ R12, R12           // column strip offset (elements)
-fwdstrip:
+	MOVQ CX, AX             // columns left
+fwd8:
+	CMPQ AX, $8
+	JL   fwd4
 	VMOVUPD (BX)(R12*8), Y4   // acc = bias strip
 	VMOVUPD 32(BX)(R12*8), Y5
 	LEAQ (DI)(R12*8), R13     // &w[0*width + strip]
 	XORQ R11, R11             // k
 	TESTQ R10, R10
-	JZ   fwdstore
-fwdk:
+	JZ   fwd8store
+fwd8k:
 	VMOVSD (R9)(R11*8), X0
 	VUCOMISD X3, X0
-	JP   fwddo              // NaN: unordered → process like scalar path
-	JE   fwdskip            // exact zero → skip row k of W
-fwddo:
+	JP   fwd8do             // NaN: unordered → process like scalar path
+	JE   fwd8skip           // exact zero → skip row k of W
+fwd8do:
 	VBROADCASTSD (R9)(R11*8), Y0
 	VMOVUPD (R13), Y1
 	VMOVUPD 32(R13), Y2
@@ -225,19 +229,223 @@ fwddo:
 	VMULPD  Y0, Y2, Y2
 	VADDPD  Y1, Y4, Y4
 	VADDPD  Y2, Y5, Y5
-fwdskip:
+fwd8skip:
 	LEAQ (R13)(CX*8), R13   // next W row, same column strip
 	INCQ R11
 	CMPQ R11, R10
-	JL   fwdk
-fwdstore:
+	JL   fwd8k
+fwd8store:
 	VMOVUPD Y4, (DX)(R12*8)
 	VMOVUPD Y5, 32(DX)(R12*8)
 	ADDQ $8, R12
-	CMPQ R12, CX
-	JL   fwdstrip
+	SUBQ $8, AX
+	JMP  fwd8
+
+fwd4:
+	CMPQ AX, $4
+	JL   fwdtail
+	VMOVUPD (BX)(R12*8), Y4
+	LEAQ (DI)(R12*8), R13
+	XORQ R11, R11
+	TESTQ R10, R10
+	JZ   fwd4store
+fwd4k:
+	VMOVSD (R9)(R11*8), X0
+	VUCOMISD X3, X0
+	JP   fwd4do
+	JE   fwd4skip
+fwd4do:
+	VBROADCASTSD (R9)(R11*8), Y0
+	VMULPD  (R13), Y0, Y1
+	VADDPD  Y1, Y4, Y4
+fwd4skip:
+	LEAQ (R13)(CX*8), R13
+	INCQ R11
+	CMPQ R11, R10
+	JL   fwd4k
+fwd4store:
+	VMOVUPD Y4, (DX)(R12*8)
+	ADDQ $4, R12
+	SUBQ $4, AX
+
+fwdtail:
+	TESTQ AX, AX
+	JZ   fwddone
+	LEAQ tailmask<>(SB), SI
+	MOVQ $3, R8
+	SUBQ AX, R8
+	VMOVUPD (SI)(R8*8), Y6    // lanes [0, AX) set
+	VMASKMOVPD (BX)(R12*8), Y6, Y4
+	LEAQ (DI)(R12*8), R13
+	XORQ R11, R11
+	TESTQ R10, R10
+	JZ   fwdtailstore
+fwdtailk:
+	VMOVSD (R9)(R11*8), X0
+	VUCOMISD X3, X0
+	JP   fwdtaildo
+	JE   fwdtailskip
+fwdtaildo:
+	VBROADCASTSD (R9)(R11*8), Y0
+	VMASKMOVPD (R13), Y6, Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  Y1, Y4, Y4
+fwdtailskip:
+	LEAQ (R13)(CX*8), R13
+	INCQ R11
+	CMPQ R11, R10
+	JL   fwdtailk
+fwdtailstore:
+	VMASKMOVPD Y4, Y6, (DX)(R12*8)
+fwddone:
 	VZEROUPPER
 	RET
+
+// Exact dense-layer backward over 4k rows of W (len(x) a positive
+// multiple of 4; the caller handles the remaining rows). For each
+// block of four rows k..k+3 it sweeps the columns once:
+//
+//	wg[r*out+j] += x[r]*g[j]        elementwise lanes, no FMA
+//	dx[r] = Σ_j g[j]*w[r*out+j]     one lane per row, j in order
+//
+// The four rows' products for columns j..j+3 are formed lane-wise and
+// transposed in registers, then added into the row accumulators one
+// column at a time, so each lane runs exactly the scalar in-order
+// reduction (separate multiply and add, starting from +0) while four
+// rows' dependency chains proceed together. The last 1..3 columns use
+// masked loads; their masked-off lanes contribute g=+0 times w=+0 =
+// +0, and an accumulator that starts at +0 can never be -0, so adding
+// that +0 leaves it unchanged. Masked-off wg lanes are never stored.
+// func linBwdAVX(x, g, w, wg, dx []float64)
+TEXT ·linBwdAVX(SB), NOSPLIT, $0-120
+	MOVQ x_base+0(FP), R9
+	MOVQ x_len+8(FP), R10   // rows, multiple of 4
+	MOVQ g_base+24(FP), SI
+	MOVQ g_len+32(FP), CX   // out
+	MOVQ w_base+48(FP), DI
+	MOVQ wg_base+72(FP), R8
+	MOVQ dx_base+96(FP), DX
+
+	MOVQ CX, R14
+	SHLQ $3, R14            // row stride in bytes
+	LEAQ (R14)(R14*2), R13  // 3 × row stride
+	MOVQ CX, AX
+	ANDQ $3, AX             // tail columns
+	LEAQ tailmask<>(SB), BX
+	MOVQ $3, R12
+	SUBQ AX, R12
+	VMOVUPD (BX)(R12*8), Y15 // tail lanes mask (all clear when no tail)
+	ANDQ $-4, CX            // full 4-column blocks
+	XORQ R11, R11           // k
+
+bwdk:
+	VBROADCASTSD (R9)(R11*8), Y8
+	VBROADCASTSD 8(R9)(R11*8), Y9
+	VBROADCASTSD 16(R9)(R11*8), Y10
+	VBROADCASTSD 24(R9)(R11*8), Y11
+	VXORPD Y12, Y12, Y12    // lane r = dx[k+r]
+	XORQ AX, AX             // j
+	CMPQ AX, CX
+	JGE  bwdtail
+
+bwdj:
+	VMOVUPD (SI)(AX*8), Y0  // g[j:j+4]
+	LEAQ (DI)(AX*8), R12
+	LEAQ (R8)(AX*8), BX
+	VMULPD (R12), Y0, Y1    // row products g*w
+	VMULPD (R12)(R14*1), Y0, Y2
+	VMULPD (R12)(R14*2), Y0, Y3
+	VMULPD (R12)(R13*1), Y0, Y4
+	VMULPD Y8, Y0, Y5       // wg rows += x*g
+	VADDPD (BX), Y5, Y5
+	VMOVUPD Y5, (BX)
+	VMULPD Y9, Y0, Y6
+	VADDPD (BX)(R14*1), Y6, Y6
+	VMOVUPD Y6, (BX)(R14*1)
+	VMULPD Y10, Y0, Y7
+	VADDPD (BX)(R14*2), Y7, Y7
+	VMOVUPD Y7, (BX)(R14*2)
+	VMULPD Y11, Y0, Y5
+	VADDPD (BX)(R13*1), Y5, Y5
+	VMOVUPD Y5, (BX)(R13*1)
+	VUNPCKLPD Y2, Y1, Y5    // transpose: Y2..Y5 = columns j..j+3
+	VUNPCKHPD Y2, Y1, Y6
+	VUNPCKLPD Y4, Y3, Y7
+	VUNPCKHPD Y4, Y3, Y1
+	VPERM2F128 $0x20, Y7, Y5, Y2
+	VPERM2F128 $0x20, Y1, Y6, Y3
+	VPERM2F128 $0x31, Y7, Y5, Y4
+	VPERM2F128 $0x31, Y1, Y6, Y5
+	VADDPD Y2, Y12, Y12     // acc += column, in j order
+	VADDPD Y3, Y12, Y12
+	VADDPD Y4, Y12, Y12
+	VADDPD Y5, Y12, Y12
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JL   bwdj
+
+bwdtail:
+	VTESTPD Y15, Y15
+	JZ   bwdstore
+	VMASKMOVPD (SI)(AX*8), Y15, Y0
+	LEAQ (DI)(AX*8), R12
+	LEAQ (R8)(AX*8), BX
+	VMASKMOVPD (R12), Y15, Y1
+	VMULPD Y1, Y0, Y1
+	VMASKMOVPD (R12)(R14*1), Y15, Y2
+	VMULPD Y2, Y0, Y2
+	VMASKMOVPD (R12)(R14*2), Y15, Y3
+	VMULPD Y3, Y0, Y3
+	VMASKMOVPD (R12)(R13*1), Y15, Y4
+	VMULPD Y4, Y0, Y4
+	VMASKMOVPD (BX), Y15, Y6
+	VMULPD Y8, Y0, Y5
+	VADDPD Y6, Y5, Y5
+	VMASKMOVPD Y5, Y15, (BX)
+	VMASKMOVPD (BX)(R14*1), Y15, Y6
+	VMULPD Y9, Y0, Y5
+	VADDPD Y6, Y5, Y5
+	VMASKMOVPD Y5, Y15, (BX)(R14*1)
+	VMASKMOVPD (BX)(R14*2), Y15, Y6
+	VMULPD Y10, Y0, Y5
+	VADDPD Y6, Y5, Y5
+	VMASKMOVPD Y5, Y15, (BX)(R14*2)
+	VMASKMOVPD (BX)(R13*1), Y15, Y6
+	VMULPD Y11, Y0, Y5
+	VADDPD Y6, Y5, Y5
+	VMASKMOVPD Y5, Y15, (BX)(R13*1)
+	VUNPCKLPD Y2, Y1, Y5
+	VUNPCKHPD Y2, Y1, Y6
+	VUNPCKLPD Y4, Y3, Y7
+	VUNPCKHPD Y4, Y3, Y1
+	VPERM2F128 $0x20, Y7, Y5, Y2
+	VPERM2F128 $0x20, Y1, Y6, Y3
+	VPERM2F128 $0x31, Y7, Y5, Y4
+	VPERM2F128 $0x31, Y1, Y6, Y5
+	VADDPD Y2, Y12, Y12
+	VADDPD Y3, Y12, Y12
+	VADDPD Y4, Y12, Y12
+	VADDPD Y5, Y12, Y12
+
+bwdstore:
+	VMOVUPD Y12, (DX)(R11*8)
+	LEAQ (DI)(R14*4), DI    // next four rows of W and its gradient
+	LEAQ (R8)(R14*4), R8
+	ADDQ $4, R11
+	CMPQ R11, R10
+	JL   bwdk
+	VZEROUPPER
+	RET
+
+// tailmask<>+(3-n)*8 is a 4-lane mask with lanes [0, n) set, n = 0..3.
+DATA tailmask<>+0(SB)/8, $-1
+DATA tailmask<>+8(SB)/8, $-1
+DATA tailmask<>+16(SB)/8, $-1
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $56
 
 // Squared Euclidean distances from q to the 8 points of one dim-major
 // packed block: out[p] = Σ_j (q[j]-block[j*8+p])², accumulated in

@@ -22,6 +22,8 @@ func linBwdFMA(x, g, w, wg, dx []float64) { panic("mat: linBwdFMA without FMA") 
 
 func linFwdAVX(x, b, w, out []float64) { panic("mat: linFwdAVX without AVX") }
 
+func linBwdAVX(x, g, w, wg, dx []float64) { panic("mat: linBwdAVX without AVX") }
+
 func distPackAVX(q, block, out []float64) { panic("mat: distPackAVX without AVX") }
 
 func normRowAVX(x, gain, bias, out []float64, m, inv float64) {

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,13 +146,37 @@ func BenchmarkNormRow(b *testing.B) {
 	}
 }
 
+// linShapes are tranad's grid layer shapes (in→out at DModel 12 over
+// the 6 raw PIDs): enc 6→12, ffn1 12→24, ffn2 24→12, dec1b/dec2b 12→6
+// and fuse 18→12. All but ffn1 miss the 8-column strip granule.
+var linShapes = [][2]int{{6, 12}, {12, 24}, {24, 12}, {12, 6}, {18, 12}}
+
 func BenchmarkLinFwd(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const in, width = 48, 48
-	x, bias, w := randVec(rng, in), randVec(rng, width), randVec(rng, in*width)
-	out := make([]float64, width)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		LinFwd(x, bias, w, out)
+	for _, s := range linShapes {
+		in, width := s[0], s[1]
+		b.Run(fmt.Sprintf("%dx%d", in, width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, bias, w := randVec(rng, in), randVec(rng, width), randVec(rng, in*width)
+			out := make([]float64, width)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LinFwd(x, bias, w, out)
+			}
+		})
+	}
+}
+
+func BenchmarkLinBwd(b *testing.B) {
+	for _, s := range linShapes {
+		in, out := s[0], s[1]
+		b.Run(fmt.Sprintf("%dx%d", in, out), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, g, w := randVec(rng, in), randVec(rng, out), randVec(rng, in*out)
+			wg, dx := make([]float64, in*out), make([]float64, in)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LinBwd(x, g, w, wg, dx)
+			}
+		})
 	}
 }

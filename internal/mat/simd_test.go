@@ -162,10 +162,16 @@ func TestLinBwdFastMatchesReference(t *testing.T) {
 
 // TestLinFwdBitIdentical checks the fused forward kernel against the
 // scalar zero-skipping loop, bit for bit, including rows with exact
-// zeros (post-ReLU sparsity) and widths that exercise the Go fallback.
+// zeros (post-ReLU sparsity), every strip kind (8, 4 and masked 1..3
+// columns) and tranad's grid widths 6, 12 and 15, at both dispatch
+// levels.
 func TestLinFwdBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, shape := range [][2]int{{1, 8}, {3, 16}, {10, 48}, {48, 48}, {5, 7}, {7, 24}, {0, 8}} {
+	shapes := [][2]int{
+		{1, 8}, {3, 16}, {10, 48}, {48, 48}, {5, 7}, {7, 24}, {0, 8},
+		{6, 4}, {12, 6}, {6, 12}, {12, 15}, {27, 12}, {15, 12}, {4, 3}, {3, 1},
+	}
+	for _, shape := range shapes {
 		in, out := shape[0], shape[1]
 		x := randVec(rng, in)
 		for i := range x {
@@ -174,9 +180,7 @@ func TestLinFwdBitIdentical(t *testing.T) {
 			}
 		}
 		b, w := randVec(rng, out), randVec(rng, in*out)
-		got := make([]float64, out)
 		want := make([]float64, out)
-		LinFwd(x, b, w, got)
 		copy(want, b)
 		for k, v := range x {
 			if v == 0 {
@@ -186,11 +190,97 @@ func TestLinFwdBitIdentical(t *testing.T) {
 				want[j] += v * w[k*out+j]
 			}
 		}
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("in=%d out=%d: out[%d]=%x want %x (simd=%s)",
-					in, out, j, math.Float64bits(got[j]), math.Float64bits(want[j]), SIMDMode())
+		forEachDispatch(t, func(level string) {
+			got := make([]float64, out)
+			LinFwd(x, b, w, got)
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("in=%d out=%d (%s): out[%d]=%x want %x",
+						in, out, level, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+		})
+	}
+}
+
+// linBwdScalar is the reference exact backward row: per k an axpy into
+// the weight gradient and a serial dot for the input gradient.
+func linBwdScalar(x, g, w, wg, dx []float64) {
+	out := len(g)
+	for k := range x {
+		addScaledScalar(wg[k*out:(k+1)*out], x[k], g)
+		var acc float64
+		for j := 0; j < out; j++ {
+			acc += g[j] * w[k*out+j]
+		}
+		dx[k] = acc
+	}
+}
+
+// TestLinBwdBitIdentical pins the exact backward kernel to the scalar
+// reference, bit for bit, at tranad's grid shapes and the block
+// boundaries (row counts either side of 4, widths with 0..3 tail
+// columns), with signed zeros, NaN and infinities in x and g, at both
+// dispatch levels. One NaN source per reduction keeps the expected NaN
+// payload independent of operand order.
+func TestLinBwdBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	shapes := [][2]int{
+		{6, 12}, {12, 24}, {24, 12}, {12, 6}, {18, 12}, {15, 12}, {27, 12}, {12, 15},
+		{1, 1}, {3, 5}, {4, 4}, {5, 3}, {7, 9}, {8, 16}, {4, 0}, {0, 4}, {9, 2},
+	}
+	for si, shape := range shapes {
+		in, out := shape[0], shape[1]
+		x, g := randVec(rng, in), randVec(rng, out)
+		w, wg0 := randVec(rng, in*out), randVec(rng, in*out)
+		if si%2 == 0 {
+			for i := range x {
+				switch i % 5 {
+				case 0:
+					x[i] = 0
+				case 1:
+					x[i] = math.Copysign(0, -1)
+				case 3:
+					x[i] = math.Inf(-1)
+				}
+			}
+			if in > 2 {
+				x[2] = math.NaN()
+			}
+			for j := range g {
+				switch j % 4 {
+				case 0:
+					g[j] = math.Copysign(0, -1)
+				case 2:
+					g[j] = 0
+				}
+			}
+			if out > 1 {
+				g[1] = math.Inf(1)
+			}
+			if out > 3 {
+				g[3] = math.NaN()
 			}
 		}
+		wantWG := append([]float64(nil), wg0...)
+		wantDX := make([]float64, in)
+		linBwdScalar(x, g, w, wantWG, wantDX)
+		forEachDispatch(t, func(level string) {
+			wg := append([]float64(nil), wg0...)
+			dx := make([]float64, in)
+			LinBwd(x, g, w, wg, dx)
+			for i := range wg {
+				if math.Float64bits(wg[i]) != math.Float64bits(wantWG[i]) {
+					t.Fatalf("in=%d out=%d (%s): wg[%d]=%x want %x",
+						in, out, level, i, math.Float64bits(wg[i]), math.Float64bits(wantWG[i]))
+				}
+			}
+			for k := range dx {
+				if math.Float64bits(dx[k]) != math.Float64bits(wantDX[k]) {
+					t.Fatalf("in=%d out=%d (%s): dx[%d]=%x want %x",
+						in, out, level, k, math.Float64bits(dx[k]), math.Float64bits(wantDX[k]))
+				}
+			}
+		})
 	}
 }

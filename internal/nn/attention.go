@@ -14,8 +14,10 @@ import (
 // The default fast path packs each head's Q/K/V column slice into
 // contiguous scratch and runs the score and mixing products through
 // mat.MatMul, whose k-ordered axpy accumulation reproduces the legacy
-// scalar loops bit for bit; every intermediate lives in layer-owned
-// scratch, so a warm layer allocates nothing per call. With
+// scalar loops bit for bit, and the value-side backward through
+// mat.LinBwd, whose dots keep the legacy reduction order; every
+// intermediate lives in layer-owned scratch, so a warm layer allocates
+// nothing per call. With
 // SetFastDots the attention-gradient product additionally switches to
 // mat.MatMulT/DotUnrolled4, which reassociates the reduction — tranad
 // enables it only for minibatch training, where no bit-exactness against
@@ -38,7 +40,7 @@ type SelfAttention struct {
 	concatS      mat.Matrix
 	qh, kh, vh   mat.Matrix
 	khT, oh, doh mat.Matrix
-	dAttn        mat.Matrix
+	dAttn, dVh   mat.Matrix
 	dQ, dK, dV   mat.Matrix
 
 	// inference scratch for AttendLast, disjoint from the training
@@ -216,20 +218,8 @@ func (a *SelfAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 		} else {
 			dAttn = a.dAttn.EnsureShape(seq, seq)
 		}
-		if !a.legacy && a.fastDots {
-			// Reassociating path: dAttn as one MatMulT over the packed
-			// head blocks, then the dV axpy sweep.
-			doh := a.packHead(&a.doh, dConcat, h)
-			vh := a.packHead(&a.vh, a.v, h)
-			mat.MatMulT(dAttn, doh, vh)
-			for i := 0; i < seq; i++ {
-				arow := attn.Row(i)
-				doi := doh.Row(i)
-				for j := 0; j < seq; j++ {
-					mat.AddScaled(dV.Row(j)[off:off+a.dk], arow[j], doi)
-				}
-			}
-		} else {
+		switch {
+		case a.legacy:
 			for i := 0; i < seq; i++ {
 				doi := dConcat.Row(i)[off : off+a.dk]
 				arow := attn.Row(i)
@@ -244,6 +234,34 @@ func (a *SelfAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 					}
 					darow[j] = dot
 				}
+			}
+		case a.fastDots:
+			// Reassociating path: dAttn as one MatMulT over the packed
+			// head blocks, then the dV axpy sweep.
+			doh := a.packHead(&a.doh, dConcat, h)
+			vh := a.packHead(&a.vh, a.v, h)
+			mat.MatMulT(dAttn, doh, vh)
+			for i := 0; i < seq; i++ {
+				arow := attn.Row(i)
+				doi := doh.Row(i)
+				for j := 0; j < seq; j++ {
+					mat.AddScaled(dV.Row(j)[off:off+a.dk], arow[j], doi)
+				}
+			}
+		default:
+			// Per query row i this is a dense backward row with W = Vh
+			// (seq×dk): dAttn[i][j] = dOut_h[i]·Vh[j] reduced in t order
+			// and dVh[j] += attn[i][j]·dOut_h[i]. mat.LinBwd runs four
+			// keys' in-order dots side by side, bit-identical to the
+			// legacy per-(i, j) loop.
+			doh := a.packHead(&a.doh, dConcat, h)
+			vh := a.packHead(&a.vh, a.v, h)
+			dvh := a.dVh.EnsureShape(seq, a.dk).Zero()
+			for i := 0; i < seq; i++ {
+				mat.LinBwd(attn.Row(i), doh.Row(i), vh.Data, dvh.Data, dAttn.Row(i))
+			}
+			for j := 0; j < seq; j++ {
+				copy(dV.Row(j)[off:off+a.dk], dvh.Row(j))
 			}
 		}
 		// Softmax backward per row: dS = attn ⊙ (dAttn - rowsum(dAttn ⊙ attn)).

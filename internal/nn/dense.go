@@ -8,10 +8,12 @@ import (
 
 // Linear is a fully connected layer: y = xW + b with W of shape in×out.
 //
-// The default fast path writes into layer-owned scratch matrices via the
-// mat axpy kernels: zero allocations once the scratch is warm, and
-// bit-identical outputs to the legacy allocate-per-call path (the axpy
-// accumulation visits k in the same order the scalar loops did). The
+// The default fast path runs each row through one fused mat kernel —
+// mat.LinFwd forward, mat.LinBwd backward — writing into layer-owned
+// scratch matrices: zero allocations once the scratch is warm, and
+// bit-identical outputs to the legacy allocate-per-call path (every
+// output element is reduced in the same order the scalar loops used;
+// the kernels only run several outputs' reductions side by side). The
 // legacy path is retained behind SetLegacyKernels as the fit-perf
 // baseline and as the oracle for the equivalence tests.
 type Linear struct {
@@ -79,23 +81,14 @@ func (l *Linear) Backward(grad *mat.Matrix) *mat.Matrix {
 		gi := grad.Row(i)
 		xi := l.x.Row(i)
 		di := dx.Row(i)
-		// db += g ; dW += x^T g ; dx = g W^T — split into an axpy per
-		// W row plus a dot. The axpy is elementwise and stays inside
-		// the bit-exact contract; the dot is in-order by default and
-		// FMA-reassociated when fastDots is on.
+		// db += g ; dW += x^T g ; dx = g W^T in one fused pass over W.
+		// The dots are in-order by default and FMA-reassociated when
+		// fastDots is on.
 		mat.AddScaled(l.b.G, 1, gi)
 		if l.fastDots {
 			mat.LinBwdFast(xi, gi, l.w.W, l.w.G, di)
-			continue
-		}
-		for k := 0; k < l.In; k++ {
-			mat.AddScaled(l.w.G[k*l.Out:(k+1)*l.Out], xi[k], gi)
-			wrow := l.w.W[k*l.Out : (k+1)*l.Out]
-			var acc float64
-			for j := 0; j < l.Out; j++ {
-				acc += gi[j] * wrow[j]
-			}
-			di[k] = acc
+		} else {
+			mat.LinBwd(xi, gi, l.w.W, l.w.G, di)
 		}
 	}
 	return dx

@@ -11,10 +11,15 @@ import (
 // buildTestNet assembles the same block structure tranad uses: dense →
 // positional encoding → residual attention → layer norm → residual MLP →
 // layer norm, so the equivalence test covers every layer type.
-func buildTestNet(rng *rand.Rand) *Sequential {
+func buildTestNet(rng *rand.Rand) *Sequential { return buildNet(rng, 6, 0) }
+
+// buildNet is buildTestNet over in input features. fuse > 0 adds a
+// dim→fuse→dim bottleneck before the output projection, the shape of
+// tranad's fuse layer (dim + in inputs).
+func buildNet(rng *rand.Rand, in, fuse int) *Sequential {
 	dim := 12
-	return NewSequential(
-		NewLinear(6, dim, rng),
+	layers := []Layer{
+		NewLinear(in, dim, rng),
 		NewPositionalEncoding(dim),
 		NewResidual(NewSelfAttention(dim, 2, rng)),
 		NewLayerNorm(dim),
@@ -24,10 +29,12 @@ func buildTestNet(rng *rand.Rand) *Sequential {
 			NewLinear(2*dim, dim, rng),
 		)),
 		NewLayerNorm(dim),
-		NewLinear(dim, 6, rng),
-		NewSigmoid(),
-		NewTanh(),
-	)
+	}
+	if fuse > 0 {
+		layers = append(layers, NewLinear(dim, fuse, rng), NewReLU(), NewLinear(fuse, dim, rng))
+	}
+	layers = append(layers, NewLinear(dim, in, rng), NewSigmoid(), NewTanh())
+	return NewSequential(layers...)
 }
 
 // TestFastKernelsBitIdenticalToLegacy trains two identically seeded nets
@@ -35,51 +42,55 @@ func buildTestNet(rng *rand.Rand) *Sequential {
 // kernels — through several Adam steps and requires Float64bits-equal
 // outputs and weights at every step. This is the determinism contract
 // DESIGN.md §11 documents: the kernel rewrite must not move a single
-// bit of the optimisation trajectory.
+// bit of the optimisation trajectory. The second net has the
+// correlation transform's 15 features and a 27→12 fuse layer, so every
+// row- and column-tail path of the dense kernels trains too.
 func TestFastKernelsBitIdenticalToLegacy(t *testing.T) {
-	legacyNet := buildTestNet(rand.New(rand.NewSource(7)))
-	fastNet := buildTestNet(rand.New(rand.NewSource(7)))
-	SetLegacyKernels(legacyNet, true)
+	for _, shape := range []struct{ in, fuse int }{{6, 0}, {15, 27}} {
+		legacyNet := buildNet(rand.New(rand.NewSource(7)), shape.in, shape.fuse)
+		fastNet := buildNet(rand.New(rand.NewSource(7)), shape.in, shape.fuse)
+		SetLegacyKernels(legacyNet, true)
 
-	legacyOpt := NewAdam(legacyNet.Params(), 0.01)
-	fastOpt := NewAdam(fastNet.Params(), 0.01)
+		legacyOpt := NewAdam(legacyNet.Params(), 0.01)
+		fastOpt := NewAdam(fastNet.Params(), 0.01)
 
-	dataRng := rand.New(rand.NewSource(8))
-	grad := mat.NewMatrix(0, 0)
-	for step := 0; step < 5; step++ {
-		x := mat.NewMatrix(8, 6)
-		target := mat.NewMatrix(8, 6)
-		for i := range x.Data {
-			x.Data[i] = dataRng.NormFloat64()
-			target.Data[i] = dataRng.NormFloat64()
-		}
-
-		legacyOut := legacyNet.Forward(x.Clone())
-		fastOut := fastNet.Forward(x.Clone())
-		for i := range legacyOut.Data {
-			if math.Float64bits(legacyOut.Data[i]) != math.Float64bits(fastOut.Data[i]) {
-				t.Fatalf("step %d: forward output %d differs: legacy %v fast %v",
-					step, i, legacyOut.Data[i], fastOut.Data[i])
+		dataRng := rand.New(rand.NewSource(8))
+		grad := mat.NewMatrix(0, 0)
+		for step := 0; step < 5; step++ {
+			x := mat.NewMatrix(8, shape.in)
+			target := mat.NewMatrix(8, shape.in)
+			for i := range x.Data {
+				x.Data[i] = dataRng.NormFloat64()
+				target.Data[i] = dataRng.NormFloat64()
 			}
-		}
 
-		lossL, gradL := MSELoss(legacyOut, target)
-		lossF, gradF := MSELossInto(grad, fastOut, target)
-		if math.Float64bits(lossL) != math.Float64bits(lossF) {
-			t.Fatalf("step %d: loss differs: %v vs %v", step, lossL, lossF)
-		}
+			legacyOut := legacyNet.Forward(x.Clone())
+			fastOut := fastNet.Forward(x.Clone())
+			for i := range legacyOut.Data {
+				if math.Float64bits(legacyOut.Data[i]) != math.Float64bits(fastOut.Data[i]) {
+					t.Fatalf("in=%d step %d: forward output %d differs: legacy %v fast %v",
+						shape.in, step, i, legacyOut.Data[i], fastOut.Data[i])
+				}
+			}
 
-		legacyNet.Backward(gradL)
-		fastNet.Backward(gradF)
-		legacyOpt.Step()
-		fastOpt.Step()
+			lossL, gradL := MSELoss(legacyOut, target)
+			lossF, gradF := MSELossInto(grad, fastOut, target)
+			if math.Float64bits(lossL) != math.Float64bits(lossF) {
+				t.Fatalf("in=%d step %d: loss differs: %v vs %v", shape.in, step, lossL, lossF)
+			}
 
-		lp, fp := legacyNet.Params(), fastNet.Params()
-		for pi := range lp {
-			for j := range lp[pi].W {
-				if math.Float64bits(lp[pi].W[j]) != math.Float64bits(fp[pi].W[j]) {
-					t.Fatalf("step %d: param %d weight %d differs: legacy %v fast %v",
-						step, pi, j, lp[pi].W[j], fp[pi].W[j])
+			legacyNet.Backward(gradL)
+			fastNet.Backward(gradF)
+			legacyOpt.Step()
+			fastOpt.Step()
+
+			lp, fp := legacyNet.Params(), fastNet.Params()
+			for pi := range lp {
+				for j := range lp[pi].W {
+					if math.Float64bits(lp[pi].W[j]) != math.Float64bits(fp[pi].W[j]) {
+						t.Fatalf("in=%d step %d: param %d weight %d differs: legacy %v fast %v",
+							shape.in, step, pi, j, lp[pi].W[j], fp[pi].W[j])
+					}
 				}
 			}
 		}
